@@ -19,6 +19,7 @@ from .boosting import (
     PremiseFree,
     SHORT,
     boosted_next_dist,
+    boosted_next_dist_batch,
     grid_search,
     score_choice,
 )

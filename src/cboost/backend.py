@@ -1,8 +1,9 @@
 """Uniform access to autoregressive language models.
 
 A backend answers two questions: the full-vocabulary next-token
-log-probability vector for a context, and the total log-probability of a
-continuation given a context.  Token sequences are tuples of ints; each
+log-probability vector for a context (or an (N, V) matrix of them for a
+batch of contexts), and the total log-probability of a continuation given
+a context.  Token sequences are tuples of ints; each
 backend owns its tokenizer, so the rest of the toolkit never sees raw text.
 """
 
@@ -37,7 +38,7 @@ class BackendInfo:
 
 
 def as_tokens(seq: Sequence[int]) -> Tokens:
-    return tuple(int(t) for t in seq)
+    return tuple(map(int, seq))
 
 
 def truncated_context(context: Sequence[int], k: int) -> Tokens:
@@ -50,7 +51,8 @@ def truncated_context(context: Sequence[int], k: int) -> Tokens:
 
 class Backend:
     """Base class.  Subclasses implement info() and next_logprobs();
-    score_continuation has a generic chain-rule implementation."""
+    next_logprobs_batch and score_continuation have generic
+    implementations on top of it, which subclasses may override."""
 
     def info(self) -> BackendInfo:
         raise NotImplementedError
@@ -61,6 +63,17 @@ class Backend:
         Requires 0 < len(context) <= max_context; callers truncate first.
         """
         raise NotImplementedError
+
+    def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """Row i is next_logprobs(contexts[i]), bit for bit; shape (N, V).
+
+        The base class loops over next_logprobs.  Backends that can score
+        many contexts at once override this.
+        """
+        rows = [self.next_logprobs(c) for c in contexts]
+        if not rows:
+            return np.empty((0, self.info().vocab_size))
+        return np.stack(rows)
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
         """Sum over continuation tokens of log p(token | context so far)."""
@@ -142,6 +155,44 @@ class CachingBackend(Backend):
             if len(self._logprobs) > self.capacity:
                 self._logprobs.popitem(last=False)
         return value
+
+    def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """All rows are looked up under one lock; the misses are filled by
+        one inner batch call.  Hits and misses count per row, as repeated
+        next_logprobs calls would count them: a context repeated within
+        the batch is one miss, then hits.  The result is read-only."""
+        keys = [as_tokens(c) for c in contexts]
+        rows: list[np.ndarray | None] = []
+        missing: dict[Tokens, int] = {}  # miss key -> index into the fill
+        repeats = 0  # missed rows whose key an earlier row of the batch missed
+        with self._lock:
+            for key in keys:
+                value = self._logprobs.get(key)
+                if value is not None:
+                    self.hits += 1
+                    self._logprobs.move_to_end(key)
+                elif key in missing:
+                    repeats += 1
+                else:
+                    missing[key] = len(missing)
+                rows.append(value)
+        if missing:
+            filled = np.asarray(self.inner.next_logprobs_batch(list(missing)), dtype=np.float64)
+            fresh = [row.copy() for row in filled]
+            for value in fresh:
+                value.setflags(write=False)
+            with self._lock:
+                self.misses += len(fresh)
+                self.hits += repeats
+                for key, value in zip(missing, fresh):
+                    self._logprobs[key] = value
+                    self._logprobs.move_to_end(key)
+                while len(self._logprobs) > self.capacity:
+                    self._logprobs.popitem(last=False)
+            rows = [fresh[missing[key]] if row is None else row for key, row in zip(keys, rows)]
+        out = np.array(rows) if rows else np.empty((0, self.info().vocab_size))
+        out.setflags(write=False)
+        return out
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
         key = (as_tokens(context), as_tokens(continuation))

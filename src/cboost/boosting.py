@@ -18,7 +18,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .backend import Backend, Tokens, as_tokens, truncated_context
+from .backend import Backend, Tokens, as_tokens
 from .dist import (
     DEFAULT_LOG_FLOOR,
     LogProbs,
@@ -130,7 +130,11 @@ def resolve_expert_contexts(
     evaluates the same context twice.  Under an after-separator policy an
     empty suffix drops the short expert (the step is unboosted).
     """
-    context = as_tokens(context)
+    return _resolve(as_tokens(context), spec)
+
+
+def _resolve(context: Tokens, spec: BoostSpec) -> list[tuple[Tokens, float]]:
+    """resolve_expert_contexts on an already normalised context."""
     if not context:
         raise ContractError("context must be non-empty")
     full_weight = 0.0
@@ -156,7 +160,7 @@ def resolve_expert_contexts(
             if key >= len(context):
                 full_weight += w  # expert coincides with the full context
             else:
-                shorts.append((truncated_context(context, key), w))
+                shorts.append((context[-key:], w))
     experts: list[tuple[Tokens, float]] = []
     if full_weight != 0.0:
         experts.append((context, full_weight))
@@ -181,6 +185,41 @@ def boosted_next_dist(
         return uniform_logprobs(backend.info().vocab_size)
     logprob_vecs = [backend.next_logprobs(ctx) for ctx, _ in experts]
     return log_linear_mix(logprob_vecs, [w for _, w in experts], log_floor=log_floor)
+
+
+def boosted_next_dist_batch(
+    backend: Backend,
+    contexts: Sequence[Sequence[int]],
+    spec: BoostSpec,
+    log_floor: float | None = DEFAULT_LOG_FLOOR,
+) -> np.ndarray:
+    """Row i is boosted_next_dist(backend, contexts[i], spec), bit for bit.
+
+    Every expert context of every row goes to the backend in one
+    next_logprobs_batch call, in the order the per-item path requests
+    them.  Rows whose resolved weights agree (the common case; a fixed k
+    covering a context collapses its experts into one) are mixed by one
+    row-wise log_linear_mix call.
+    """
+    resolved = [_resolve(as_tokens(c), spec) for c in contexts]
+    flat = [ctx for experts in resolved for ctx, _ in experts]
+    vecs = backend.next_logprobs_batch(flat)
+    out = np.empty((len(resolved), backend.info().vocab_size))
+    groups: dict[tuple[float, ...], list[int]] = {}
+    starts = []  # row -> index of its first expert in flat
+    pos = 0
+    for i, experts in enumerate(resolved):
+        starts.append(pos)
+        pos += len(experts)
+        groups.setdefault(tuple(w for _, w in experts), []).append(i)
+    for weights, rows in groups.items():
+        if not weights:
+            out[rows] = uniform_logprobs(out.shape[1])
+            continue
+        first = np.asarray([starts[i] for i in rows])
+        experts = [vecs[first + e] for e in range(len(weights))]
+        out[rows] = log_linear_mix(experts, weights, log_floor=log_floor)
+    return out
 
 
 @dataclass(frozen=True)

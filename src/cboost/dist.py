@@ -1,7 +1,9 @@
 """Exact probability-vector arithmetic.
 
-All vectors are 1-D float64 numpy arrays over a fixed vocabulary.  Two
-conventions are used throughout:
+All vectors are float64 numpy arrays over a fixed vocabulary, 1-D or
+stacked as the rows of an (N, V) matrix; ``logsumexp``, ``log_softmax``
+and ``log_linear_mix`` reduce along the last axis, so one kernel serves
+both shapes.  Two conventions are used throughout:
 
 * ``LogProbs`` — log-probabilities in nats, normalized so that
   ``logsumexp(v) == 0`` (within 1e-9).  ``-inf`` entries mark
@@ -31,13 +33,20 @@ DEFAULT_LOG_FLOOR = float(np.log(1e-10))
 NORM_TOL = 1e-9
 
 
-def logsumexp(values: np.ndarray) -> float:
-    """Stable log(sum(exp(values))); tolerates -inf entries."""
-    values = np.asarray(values, dtype=np.float64)
-    m = np.max(values)
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(values - m))))
+def _logsumexp(values: np.ndarray) -> np.ndarray:
+    """logsumexp of a float64 array along its last axis, kept as a
+    length-1 axis."""
+    m = values.max(axis=-1, keepdims=True)
+    m[m == -np.inf] = 0.0  # an all -inf row then sums to 0 and logs to -inf
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.exp(values - m).sum(axis=-1, keepdims=True))
+
+
+def logsumexp(values: np.ndarray) -> float | np.ndarray:
+    """Stable log(sum(exp(values))) along the last axis; tolerates -inf
+    entries.  A float for a vector, one value per row for a matrix."""
+    out = _logsumexp(np.asarray(values, dtype=np.float64))[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def softmax(logits: Sequence[float] | np.ndarray) -> Probs:
@@ -59,12 +68,13 @@ def softmax(logits: Sequence[float] | np.ndarray) -> Probs:
 
 
 def log_softmax(logits: Sequence[float] | np.ndarray) -> LogProbs:
-    """Normalize logits into log-probabilities (logsumexp shifted to 0)."""
+    """Normalize logits into log-probabilities (logsumexp shifted to 0),
+    row by row for a matrix."""
     logits = np.asarray(logits, dtype=np.float64)
-    if np.any(np.isnan(logits)):
+    if np.isnan(logits).any():
         raise ContractError("log_softmax input contains NaN")
-    z = logsumexp(logits)
-    if z == -np.inf:
+    z = _logsumexp(logits)
+    if (z == -np.inf).any():
         raise ContractError("degenerate distribution")
     with np.errstate(invalid="ignore"):
         out = logits - z
@@ -87,7 +97,9 @@ def log_linear_mix(
     case such tokens raise SupportMismatchError.
 
     Zero-weight experts are dropped exactly, and a single expert with
-    weight exactly 1.0 is returned unchanged (bit-identical).
+    weight exactly 1.0 is returned unchanged (bit-identical).  Experts may
+    be (N, V) matrices: row i of the result mixes row i of every expert
+    with the same weights, bit-identical to mixing the rows one by one.
     """
     if len(experts) == 0:
         raise ContractError("log_linear_mix needs at least one expert")
@@ -96,23 +108,23 @@ def log_linear_mix(
     weights = [float(w) for w in weights]
     if any(not np.isfinite(w) for w in weights):
         raise ContractError("weights must be finite")
-    n = len(np.asarray(experts[0]))
+    shape = np.shape(experts[0])
     active = [(np.asarray(e, dtype=np.float64), w) for e, w in zip(experts, weights) if w != 0.0]
     for e, _ in active:
-        if e.shape != (n,):
+        if e.shape != shape:
             raise ContractError("experts must all have the same length")
     if not active:
         # prod of nothing: uniform
-        return np.full(n, -np.log(n))
+        return np.full(shape, -np.log(shape[-1]))
     if len(active) == 1 and active[0][1] == 1.0:
         return active[0][0].copy()
 
-    forced_zero = np.zeros(n, dtype=bool)
+    forced_zero = np.zeros(shape, dtype=bool)
     for e, w in active:
         if w > 0:
             forced_zero |= e == -np.inf
 
-    total = np.zeros(n)
+    total = np.zeros(shape)
     for e, w in active:
         if w < 0:
             neg_inf = e == -np.inf

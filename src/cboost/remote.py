@@ -8,15 +8,23 @@ Wire format (JSON bodies, UTF-8):
     POST /v1/score         {"context": [int...], "continuation": [int...]}
                            -> {"logprob": float, "per_token": [float...]}
 
-Status 400 signals a contract violation, 503 a transient overload.  The
-client retries transient failures three times with exponential backoff
-before giving up.  Any server may implement the protocol; the bundled
-reference server wraps an in-process backend.
+Status 400 signals a contract violation, 503 a transient overload and
+500 an internal server error.  The client retries only transient
+failures (connection errors and 503) three times with exponential
+backoff before giving up; any other status fails at once.  Replies are
+checked at the boundary: a reply must be JSON with the fields above, a
+log-probability vector must be free of NaN and +inf and normalized to
+within ``REPLY_TOL``, and a score must be a non-positive number whose
+``per_token`` terms, one per continuation token, sum to it.  A reply that
+fails these checks is the server's fault and raises ``BackendError``.
+Any server may implement the protocol; the bundled reference server
+wraps an in-process backend.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,11 +34,16 @@ import numpy as np
 import requests
 
 from .backend import Backend, BackendInfo, as_tokens
-from .dist import LogProbs
+from .dist import LogProbs, logsumexp
 from .errors import BackendError, ContractError
 
 MAX_RETRIES = 3
 BACKOFF_BASE_SECONDS = 0.5
+# How far a reply may stray from exact normalization (|logsumexp| of a
+# next-token vector) or from exact summation (per_token against logprob,
+# relative to |logprob| when that exceeds 1).  JSON round trips are exact,
+# so only servers computing in lower precision come near it.
+REPLY_TOL = 1e-6
 
 
 class RemoteBackend(Backend):
@@ -81,30 +94,45 @@ class RemoteBackend(Backend):
                 last_error = exc
                 continue
             if resp.status_code == 200:
-                return resp.json()
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise BackendError(f"server reply is not JSON: {exc}") from None
             if resp.status_code == 400:
                 raise ContractError(f"server rejected request: {resp.text}")
-            # 503 and other 5xx are treated as transient
             last_error = BackendError(f"HTTP {resp.status_code}: {resp.text}")
+            if resp.status_code != 503:
+                raise last_error  # a server bug does not go away by asking again
         raise BackendError(f"remote backend failed after {MAX_RETRIES} retries: {last_error}")
 
     def info(self) -> BackendInfo:
         if self._info is None:
             payload = self._request("GET", "/v1/info")
-            self._info = BackendInfo(
-                vocab_size=int(payload["vocab_size"]),
-                max_context=int(payload["max_context"]),
-                name=str(payload["name"]),
-            )
+            try:
+                self._info = BackendInfo(
+                    vocab_size=int(payload["vocab_size"]),
+                    max_context=int(payload["max_context"]),
+                    name=str(payload["name"]),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BackendError(f"malformed info reply: {exc!r}") from None
         return self._info
 
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
         context = as_tokens(context)
         self._check_context(context)
         payload = self._request("POST", "/v1/next_logprobs", {"tokens": list(context)})
-        vec = np.asarray(payload["logprobs"], dtype=np.float64)
+        try:
+            vec = np.asarray(payload["logprobs"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendError(f"malformed next_logprobs reply: {exc!r}") from None
         if vec.shape != (self.info().vocab_size,):
             raise BackendError("server returned a logprob vector of the wrong length")
+        if np.any(np.isnan(vec)) or np.any(vec == np.inf):
+            raise BackendError("server returned a logprob vector with NaN or +inf entries")
+        z = logsumexp(vec)
+        if not abs(z) <= REPLY_TOL:
+            raise BackendError(f"server returned an unnormalized logprob vector: logsumexp={z}")
         return vec
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
@@ -114,7 +142,22 @@ class RemoteBackend(Backend):
         payload = self._request(
             "POST", "/v1/score", {"context": list(context), "continuation": list(continuation)}
         )
-        return float(payload["logprob"])
+        try:
+            logprob = float(payload["logprob"])
+            per_token = [float(x) for x in payload["per_token"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendError(f"malformed score reply: {exc!r}") from None
+        if math.isnan(logprob) or logprob > 0:
+            raise BackendError(f"server returned an invalid continuation logprob {logprob}")
+        if len(per_token) != len(continuation):
+            raise BackendError(
+                f"server returned {len(per_token)} per-token logprobs "
+                f"for {len(continuation)} continuation tokens"
+            )
+        total = sum(per_token)
+        if total != logprob and not abs(total - logprob) <= REPLY_TOL * max(1.0, abs(logprob)):
+            raise BackendError(f"server's per-token logprobs sum to {total}, not {logprob}")
+        return logprob
 
     def encode(self, text: str):
         if self.tokenizer is None:
@@ -183,8 +226,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(400, {"error": f"unknown path {self.path}"})
         except (ContractError, KeyError, TypeError) as exc:
             self._send(400, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send(503, {"error": str(exc)})
+        except Exception as exc:
+            self._send(500, {"error": str(exc)})
 
 
 class BackendServer:

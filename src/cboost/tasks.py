@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .backend import Backend, Tokens, as_tokens, truncated_context
-from .boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist, score_choice
+from .boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist_batch, score_choice
 from .decode import GenConfig, generate_dialog
 from .errors import ContractError
 from .metrics import RougeScore, rouge
@@ -99,31 +99,39 @@ def _last_token_spec(k: int | None, alpha: float) -> BoostSpec:
     return BoostSpec(weights={MAX_CONTEXT: 1.0, int(k): float(alpha)})
 
 
+def _last_token_dists(
+    backend: Backend, items: Sequence[LastTokenItem], k: int | None, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boosted next-token log-probabilities of every item, (N, V), and the
+    items' targets."""
+    spec = _last_token_spec(k, alpha)
+    lp = boosted_next_dist_batch(backend, [item.context for item in items], spec)
+    return lp, np.array([item.target for item in items], dtype=np.int64)
+
+
 def eval_last_token(
     backend: Backend, items: Sequence[LastTokenItem], k: int | None, alpha: float
 ) -> EvalResult:
     """Accuracy of argmax prediction under f_max * f_k^alpha."""
     if not items:
         raise ContractError("no items")
-    spec = _last_token_spec(k, alpha)
-    per_item = []
-    correct = 0
-    for item in items:
-        lp = boosted_next_dist(backend, item.context, spec)
-        pred = int(np.argmax(lp))
-        hit = pred == item.target
-        correct += hit
-        per_item.append(
-            {
-                "id": item.item_id,
-                "pred": pred,
-                "target": item.target,
-                "correct": bool(hit),
-                "logprob_target": float(lp[item.target]),
-            }
+    lp, targets = _last_token_dists(backend, items, k, alpha)
+    preds = lp.argmax(axis=1)  # ties to the lowest id
+    hits = preds == targets
+    per_item = [
+        {
+            "id": item.item_id,
+            "pred": pred,
+            "target": item.target,
+            "correct": hit,
+            "logprob_target": target_lp,
+        }
+        for item, pred, hit, target_lp in zip(
+            items, preds.tolist(), hits.tolist(), lp[np.arange(len(items)), targets].tolist()
         )
+    ]
     return EvalResult(
-        accuracy=correct / len(items),
+        accuracy=int(np.count_nonzero(hits)) / len(items),
         per_item=per_item,
         params={"k": k, "alpha": alpha, "task": "lasttoken"},
     )
@@ -272,12 +280,8 @@ def evaluate_cell(
     if isinstance(first, LastTokenItem):
         if objective == "accuracy":
             return eval_last_token(backend, dataset, k, alpha).accuracy
-        spec = _last_token_spec(k, alpha)
-        nll = [
-            -float(boosted_next_dist(backend, it.context, spec)[it.target])
-            for it in dataset
-        ]
-        return float(np.mean(nll))
+        lp, targets = _last_token_dists(backend, dataset, k, alpha)
+        return float(np.mean(-lp[np.arange(len(dataset)), targets]))
     if isinstance(first, MCItem):
         if objective == "accuracy":
             return eval_multiple_choice(backend, dataset, alpha).accuracy

@@ -221,18 +221,6 @@ def _batch_loss_and_gradient(
     return total * scale, grad
 
 
-def _suffix_logits(
-    params: ToyLMParams, tokens: np.ndarray, positions: np.ndarray, k: int
-) -> np.ndarray:
-    """Logits at each position t in ``positions`` conditioning on the last
-    k tokens before t.  Requires min(positions) >= k."""
-    v = params.vocab_size
-    z = np.broadcast_to(params.bias, (len(positions), v)).copy()
-    for j in range(1, min(k, params.lag_depth) + 1):
-        z += params.lag_tables[j - 1][tokens[positions - j]]
-    return z
-
-
 def eval_positions(heldout: Sequence[int], max_context: int) -> np.ndarray:
     """Target positions in a held-out stream with full context available."""
     heldout = np.asarray(heldout, dtype=np.int64)
@@ -386,6 +374,31 @@ class ToyBackend(Backend):
         if any(t < 0 or t >= v for t in context):
             raise ContractError("token id out of range for this backend")
         return log_softmax(self.params.logits(context))
+
+    def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """One validated gather-sum per context length.  The lag terms are
+        added in the order ``ToyLMParams.logits`` adds them, so each row is
+        bit-identical to next_logprobs."""
+        contexts = [as_tokens(c) for c in contexts]
+        by_length: dict[int, list[int]] = {}
+        for i, context in enumerate(contexts):
+            self._check_context(context)
+            by_length.setdefault(len(context), []).append(i)
+        p = self.params
+        v = p.vocab_size
+        z = np.empty((len(contexts), v))
+        for n, rows in by_length.items():
+            try:
+                ids = np.array([contexts[i] for i in rows], dtype=np.int64)
+            except OverflowError:
+                raise ContractError("token id out of range for this backend") from None
+            if np.any((ids < 0) | (ids >= v)):
+                raise ContractError("token id out of range for this backend")
+            zn = np.broadcast_to(p.bias, (len(rows), v)).copy()
+            for j in range(1, min(n, p.lag_depth) + 1):
+                zn += p.lag_tables[j - 1][ids[:, -j]]
+            z[rows] = zn
+        return log_softmax(z)
 
     def encode(self, text: str) -> Tokens:
         if self.tokenizer is None:

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cboost.backend import BackendInfo, CachingBackend, truncated_context
 from cboost.errors import ContractError
@@ -180,3 +182,110 @@ class TestCachingBackend:
     def test_bad_capacity(self, uniform_backend):
         with pytest.raises(ContractError):
             CachingBackend(uniform_backend, capacity=0)
+
+
+# ---------------------------------------------------------------------------
+# Batched next-token scoring against the per-item path
+# ---------------------------------------------------------------------------
+
+def _contexts(vocab: int, max_len: int = 9):
+    return st.lists(
+        st.lists(st.integers(0, vocab - 1), min_size=1, max_size=max_len).map(tuple),
+        max_size=12,
+    )
+
+
+class TestToyBackendBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(_contexts(8))
+    def test_rows_equal_per_item(self, trained_params, contexts):
+        # mixed lengths: the rows come from several length groups
+        backend = ToyBackend(trained_params)
+        out = backend.next_logprobs_batch(contexts)
+        assert out.shape == (len(contexts), 8)
+        for row, ctx in zip(out, contexts):
+            assert np.array_equal(row, backend.next_logprobs(ctx))
+
+    def test_rows_equal_per_item_past_lag_depth(self):
+        params = ToyLMParams(
+            named_rng(5, "batch-bias").normal(size=5),
+            named_rng(5, "batch-lags").normal(size=(2, 5, 5)),
+        )
+        backend = ToyBackend(params)
+        contexts = [(1,), (2, 3), (4, 0, 1), (1, 2, 3, 4, 0), (3, 3, 3)]
+        out = backend.next_logprobs_batch(contexts)
+        for row, ctx in zip(out, contexts):
+            assert np.array_equal(row, backend.next_logprobs(ctx))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(), tuple([0] * 9), (0, 99), (-1, 2)],
+        ids=["empty", "too-long", "id-too-large", "id-negative"],
+    )
+    def test_per_item_contract_errors(self, bad):
+        backend = ToyBackend(ToyLMParams.zeros(4, 2), max_context=8)
+        with pytest.raises(ContractError) as per_item:
+            backend.next_logprobs(bad)
+        with pytest.raises(ContractError) as batched:
+            backend.next_logprobs_batch([(1, 2), bad])
+        assert str(batched.value) == str(per_item.value)
+
+    def test_empty_batch(self, uniform_backend):
+        assert uniform_backend.next_logprobs_batch([]).shape == (0, 8)
+
+
+class TestCachingBackendBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(_contexts(3, max_len=3))
+    def test_counts_and_rows_match_per_item(self, trained_params, contexts):
+        # a small vocabulary and short contexts make repeats common
+        per_item = CachingBackend(ToyBackend(trained_params))
+        expected = [per_item.next_logprobs(c) for c in contexts]
+        batched = CachingBackend(ToyBackend(trained_params))
+        out = batched.next_logprobs_batch(contexts)
+        assert (batched.hits, batched.misses) == (per_item.hits, per_item.misses)
+        for row, exp in zip(out, expected):
+            assert np.array_equal(row, exp)
+
+    def test_repeat_within_batch_is_one_miss_then_hits(self, trained_params):
+        counting = CountingBackend(ToyBackend(trained_params))
+        cached = CachingBackend(counting)
+        cached.next_logprobs_batch([(1, 2), (3,), (1, 2), (1, 2)])
+        assert (cached.misses, cached.hits) == (2, 2)
+        assert counting.logprob_calls == 2
+        cached.next_logprobs_batch([(3,), (1, 2)])
+        assert (cached.misses, cached.hits) == (2, 4)
+        assert counting.logprob_calls == 2
+
+    def test_rows_read_only(self, trained_params):
+        cached = CachingBackend(ToyBackend(trained_params))
+        for _ in range(2):  # filled by misses, then served from hits
+            out = cached.next_logprobs_batch([(1,), (2, 3)])
+            with pytest.raises(ValueError):
+                out[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            cached.next_logprobs((1,))[0] = 0.0
+
+    def test_eviction_at_capacity(self, uniform_backend):
+        counting = CountingBackend(uniform_backend)
+        cached = CachingBackend(counting, capacity=2)
+        out = cached.next_logprobs_batch([(0,), (1,), (2,)])  # evicts (0,)
+        assert out.shape == (3, 8)
+        assert len(cached._logprobs) == 2
+        n = counting.logprob_calls
+        cached.next_logprobs_batch([(1,), (2,)])
+        assert counting.logprob_calls == n
+        cached.next_logprobs_batch([(0,)])
+        assert counting.logprob_calls == n + 1
+        assert len(cached._logprobs) == 2
+
+    def test_shares_entries_with_per_item_calls(self, trained_params):
+        counting = CountingBackend(ToyBackend(trained_params))
+        cached = CachingBackend(counting)
+        single = cached.next_logprobs((4, 5))
+        out = cached.next_logprobs_batch([(4, 5)])
+        assert counting.logprob_calls == 1
+        assert np.array_equal(out[0], single)
+        row = cached.next_logprobs_batch([(6,)])[0]
+        assert np.array_equal(cached.next_logprobs((6,)), row)
+        assert counting.logprob_calls == 2

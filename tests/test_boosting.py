@@ -2,7 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cboost.backend import Backend, BackendInfo, CachingBackend, as_tokens
 from cboost.boosting import (
     MAX_CONTEXT,
     SHORT,
@@ -10,12 +13,13 @@ from cboost.boosting import (
     BoostSpec,
     PremiseFree,
     boosted_next_dist,
+    boosted_next_dist_batch,
     grid_search,
     resolve_expert_contexts,
     score_choice,
 )
-from cboost.dist import log_linear_mix
-from cboost.errors import ContractError
+from cboost.dist import DEFAULT_LOG_FLOOR, log_linear_mix, log_softmax
+from cboost.errors import ContractError, SupportMismatchError
 from cboost.rng import named_rng
 from cboost.tasks import eval_last_token
 from cboost.toy_lm import ToyBackend, ToyLMParams
@@ -247,3 +251,143 @@ class TestGridSearch:
             grid_search(trained_backend, [], [1], [0.0])
         with pytest.raises(ContractError):
             grid_search(trained_backend, [object()], [], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# Batched boosting against the per-item path
+# ---------------------------------------------------------------------------
+
+class SparseBackend(Backend):
+    """Seeded random next-token distributions in which some tokens have
+    probability zero (-inf log-probability), one fixed draw per context."""
+
+    def __init__(self, vocab_size: int, seed: int):
+        self._info = BackendInfo(vocab_size, 64, "sparse")
+        self.seed = seed
+
+    def info(self) -> BackendInfo:
+        return self._info
+
+    def next_logprobs(self, context):
+        context = as_tokens(context)
+        self._check_context(context)
+        rng = np.random.default_rng([self.seed, *context])
+        logits = rng.normal(size=self._info.vocab_size) * 2
+        logits[rng.random(logits.size) < 0.3] = -np.inf
+        logits[rng.integers(logits.size)] = 0.0  # at least one live token
+        return log_softmax(logits)
+
+
+WEIGHTS = st.sampled_from([0.0, 1.0, -1.0, -0.5, 0.25, 1.5, -2.0])
+
+
+@st.composite
+def batch_cases(draw):
+    """(vocab, seed, contexts of mixed lengths, spec, log floor).  The
+    short lengths reach past the longest context, so k >= len(context)
+    collapses occur, and every weight may be zero or negative."""
+    v = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    contexts = draw(
+        st.lists(
+            st.lists(st.integers(0, v - 1), min_size=1, max_size=7).map(tuple),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    ks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True))
+    weights = {MAX_CONTEXT: draw(WEIGHTS), **{k: draw(WEIGHTS) for k in ks}}
+    spec = BoostSpec(weights=weights, max_entries=3)
+    log_floor = draw(st.sampled_from([DEFAULT_LOG_FLOOR, -3.0, None]))
+    return v, seed, contexts, spec, log_floor
+
+
+def _outcome(fn):
+    """The array fn returns, or the (type, message) of the ContractError it
+    raises."""
+    try:
+        return fn()
+    except ContractError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_batch_matches_per_item(backend, contexts, spec, log_floor):
+    per_row = []
+    for ctx in contexts:
+        single = _outcome(lambda: boosted_next_dist(backend, ctx, spec, log_floor))
+        batched = _outcome(lambda: boosted_next_dist_batch(backend, [ctx], spec, log_floor))
+        if isinstance(single, tuple):
+            assert batched == single
+        else:
+            assert batched.shape == (1, single.size)
+            assert np.array_equal(batched[0], single)
+        per_row.append(single)
+    whole = _outcome(lambda: boosted_next_dist_batch(backend, contexts, spec, log_floor))
+    if any(isinstance(row, tuple) for row in per_row):
+        # some row fails: the batch fails too (with the error of whichever
+        # failing row's group it mixes first)
+        assert isinstance(whole, tuple)
+    else:
+        assert np.array_equal(whole, np.stack(per_row))
+
+
+class TestBoostedNextDistBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(batch_cases())
+    def test_equals_stacked_per_item_on_toy_models(self, case):
+        v, seed, contexts, spec, log_floor = case
+        rng = np.random.default_rng(seed)
+        params = ToyLMParams(rng.normal(size=v) * 2, rng.normal(size=(3, v, v)) * 2)
+        _assert_batch_matches_per_item(ToyBackend(params), contexts, spec, log_floor)
+        _assert_batch_matches_per_item(
+            CachingBackend(ToyBackend(params)), contexts, spec, log_floor
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch_cases())
+    def test_equals_stacked_per_item_with_zero_probabilities(self, case):
+        v, seed, contexts, spec, log_floor = case
+        _assert_batch_matches_per_item(SparseBackend(v, seed), contexts, spec, log_floor)
+
+    def test_all_zero_weights_uniform(self, trained_backend):
+        spec = BoostSpec(weights={MAX_CONTEXT: 0.0, 3: 0.0})
+        out = boosted_next_dist_batch(trained_backend, [(1, 2, 3), (4,)], spec)
+        assert np.array_equal(out, np.full((2, 8), -np.log(8)))
+
+    def test_collapse_and_mix_in_one_batch(self, trained_backend):
+        # k=3 covers the first two contexts (one expert, weight 0.5) but
+        # not the third (two experts): two groups, each bit-identical
+        spec = BoostSpec(weights={MAX_CONTEXT: 1.0, 3: -0.5})
+        contexts = [(1, 2), (5, 6, 7), (1, 2, 3, 4)]
+        out = boosted_next_dist_batch(trained_backend, contexts, spec)
+        for row, ctx in zip(out, contexts):
+            assert np.array_equal(row, boosted_next_dist(trained_backend, ctx, spec))
+
+    def test_log_floor_none_raises_support_mismatch(self):
+        backend = TableBackend(2, {(0, 1): [0.5, 0.5], (1,): [1.0, 0.0]}, max_context=16)
+        spec = BoostSpec(weights={MAX_CONTEXT: 1.0, 1: -0.5})
+        with pytest.raises(SupportMismatchError):
+            boosted_next_dist(backend, (0, 1), spec, log_floor=None)
+        with pytest.raises(SupportMismatchError):
+            boosted_next_dist_batch(backend, [(1, 1), (0, 1)], spec, log_floor=None)
+        floored = boosted_next_dist_batch(backend, [(0, 1)], spec)
+        assert np.array_equal(floored[0], boosted_next_dist(backend, (0, 1), spec))
+
+    def test_empty_context_rejected(self, trained_backend):
+        with pytest.raises(ContractError):
+            boosted_next_dist_batch(trained_backend, [(1,), ()], BoostSpec.base_model())
+
+    def test_one_backend_batch_call_in_per_item_order(self, trained_backend):
+        seen = []
+
+        class Recording(Backend):
+            def info(self):
+                return trained_backend.info()
+
+            def next_logprobs_batch(self, contexts):
+                seen.append(list(contexts))
+                return trained_backend.next_logprobs_batch(contexts)
+
+        spec = BoostSpec(weights={MAX_CONTEXT: 1.0, 2: -0.5})
+        boosted_next_dist_batch(Recording(), [[1, 2, 3], (4, 5, 6)], spec)
+        assert seen == [[(1, 2, 3), (2, 3), (4, 5, 6), (5, 6)]]

@@ -443,6 +443,30 @@ class TestRemoteEndToEnd:
         ]
 
 
+class TestRemoteReplyFaults:
+    def test_nan_reply_exit_3(self, workspace, tmp_path):
+        from cboost.backend import Backend, BackendInfo
+        from cboost.remote import BackendServer
+
+        class NanModel(Backend):
+            def info(self):
+                return BackendInfo(8, 64, "nan")
+
+            def next_logprobs(self, context):
+                return np.array([np.nan] + [0.0] * 7)
+
+        _, _, model, items, _ = workspace
+        with BackendServer(NanModel()) as server:
+            rc = main([
+                "eval", "--task", "lasttoken", "--data", str(items),
+                "--backend", f"remote:{server.url}",
+                "--vocab", vocab_sidecar_path(str(model)),
+                "--alpha", "0", "--jobs", "1",
+                "--report", str(tmp_path / "r.json"),
+            ])
+        assert rc == 3  # the server's fault, not bad input (2)
+
+
 class TestTrainReachesLowLoss:
     def test_alternating_corpus_cli_run(self, tmp_path):
         corpus = tmp_path / "alt.txt"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import requests
 
-from cboost.backend import CachingBackend
+from cboost.backend import Backend, BackendInfo, CachingBackend
 from cboost.errors import BackendError, ContractError
-from cboost.remote import BackendServer, RemoteBackend
+from cboost.remote import REPLY_TOL, BackendServer, RemoteBackend
 from cboost.toy_lm import ToyBackend
 
 
@@ -183,3 +183,168 @@ class TestCachingOverRemote:
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Answers /v1/info for a 4-token vocabulary and every POST with the
+    class's fixed status and reply (a JSON value, or raw bytes)."""
+
+    INFO = {"vocab_size": 4, "max_context": 16, "name": "stub"}
+    status = 200
+    reply: dict = {}
+    info = INFO
+    hits = 0
+
+    def log_message(self, *a):
+        pass
+
+    def _send(self, code, payload):
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        self.send_response(code)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self._send(200, type(self).info)
+
+    def do_POST(self):
+        cls = type(self)
+        cls.hits += 1
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self._send(cls.status, cls.reply)
+
+
+@pytest.fixture(scope="module")
+def _stub_httpd():
+    handler = type("Handler", (_StubHandler,), {})
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    host, port = httpd.server_address[:2]
+    yield f"http://{host}:{port}", handler
+    httpd.shutdown()
+    httpd.server_close()
+
+
+@pytest.fixture
+def stub_server(_stub_httpd):
+    """start(reply, status=200, info=None) -> (client, handler class)."""
+    url, handler = _stub_httpd
+
+    def start(reply, status=200, info=None):
+        handler.reply, handler.status, handler.hits = reply, status, 0
+        handler.info = _StubHandler.INFO if info is None else info
+        return RemoteBackend(url, backoff_base=0.01), handler
+
+    return start
+
+
+QUARTER = float(np.log(0.25))
+
+
+class TestReplyValidation:
+    @pytest.mark.parametrize(
+        "logprobs, match",
+        [
+            ([float("nan"), 0.0, 0.0, 0.0], "NaN"),
+            ([float("inf"), -np.inf, -np.inf, -np.inf], r"\+inf"),
+            ([5.0, 1.0, 0.0, 0.0], "unnormalized"),
+            ([-np.inf] * 4, "unnormalized"),
+            ([QUARTER + 10 * REPLY_TOL] * 4, "unnormalized"),
+        ],
+        ids=["nan", "pos-inf", "unnormalized", "all-neg-inf", "past-tolerance"],
+    )
+    def test_bad_logprob_vector_is_backend_error(self, stub_server, logprobs, match):
+        client, _ = stub_server({"logprobs": logprobs})
+        with pytest.raises(BackendError, match=match):
+            client.next_logprobs((0, 1))
+
+    def test_vector_within_tolerance_accepted(self, stub_server):
+        vec = [QUARTER + REPLY_TOL / 2] * 4
+        client, _ = stub_server({"logprobs": vec})
+        assert np.array_equal(client.next_logprobs((0,)), vec)
+
+    def test_zero_probability_tokens_accepted(self, stub_server):
+        vec = [float(np.log(0.5)), float(np.log(0.5)), -np.inf, -np.inf]
+        client, _ = stub_server({"logprobs": vec})
+        assert np.array_equal(client.next_logprobs((0,)), vec)
+
+    @pytest.mark.parametrize(
+        "reply, match",
+        [
+            ({"logprob": float("nan"), "per_token": [float("nan")]}, "invalid"),
+            ({"logprob": float("inf"), "per_token": [float("inf")]}, "invalid"),
+            ({"logprob": 5.0, "per_token": [5.0]}, "invalid"),
+            ({"logprob": -1.0, "per_token": [-0.5, -0.5]}, "2 per-token"),
+            ({"logprob": -1.0, "per_token": []}, "0 per-token"),
+            ({"logprob": -1.0, "per_token": [-0.5]}, "sum to"),
+            ({"logprob": -1.0, "per_token": [float("nan")]}, "sum to"),
+        ],
+        ids=["nan", "pos-inf", "positive", "too-many", "too-few", "bad-sum", "nan-term"],
+    )
+    def test_bad_score_is_backend_error(self, stub_server, reply, match):
+        client, _ = stub_server(reply)
+        with pytest.raises(BackendError, match=match):
+            client.score_continuation((0, 1), (2,))
+
+    @pytest.mark.parametrize(
+        "reply", [{"oops": 1}, {"logprobs": "x", "logprob": [], "per_token": 3}, b"not json"],
+        ids=["missing-fields", "wrong-types", "not-json"],
+    )
+    def test_malformed_reply_is_backend_error(self, stub_server, reply):
+        client, _ = stub_server(reply)
+        with pytest.raises(BackendError):
+            client.next_logprobs((0,))
+        with pytest.raises(BackendError):
+            client.score_continuation((0,), (1,))
+
+    @pytest.mark.parametrize(
+        "info",
+        [{"vocab_size": 4}, {"vocab_size": "many", "max_context": 16, "name": "x"},
+         {"vocab_size": 1, "max_context": 16, "name": "x"}],
+        ids=["missing-fields", "wrong-type", "vocab-too-small"],
+    )
+    def test_malformed_info_is_backend_error(self, stub_server, info):
+        client, _ = stub_server({}, info=info)
+        with pytest.raises(BackendError, match="info"):
+            client.info()
+
+    def test_zero_probability_score_accepted(self, stub_server):
+        client, _ = stub_server({"logprob": -np.inf, "per_token": [-1.0, -np.inf]})
+        assert client.score_continuation((0,), (1, 2)) == -np.inf
+
+    def test_unnormalized_reference_server_reply_rejected(self):
+        class Unnormalized(Backend):
+            def info(self):
+                return BackendInfo(4, 16, "unnormalized")
+
+            def next_logprobs(self, context):
+                return np.array([5.0, 1.0, 0.0, 0.0])
+
+        with BackendServer(Unnormalized()) as server:
+            client = make_client(server)
+            with pytest.raises(BackendError):
+                client.score_continuation((1,), (0,))  # would score +5.0
+            with pytest.raises(BackendError):
+                client.next_logprobs((1,))
+
+
+class TestServerErrors:
+    def test_500_not_retried(self, stub_server):
+        client, handler = stub_server({"error": "boom"}, status=500)
+        with pytest.raises(BackendError, match="HTTP 500"):
+            client.next_logprobs((0,))
+        assert handler.hits == 1
+
+    def test_internal_error_is_500(self):
+        class Broken(Backend):
+            def info(self):
+                return BackendInfo(4, 16, "broken")
+
+            def next_logprobs(self, context):
+                raise RuntimeError("model crashed")
+
+        with BackendServer(Broken()) as server:
+            resp = requests.post(server.url + "/v1/next_logprobs", json={"tokens": [1]}, timeout=5)
+            assert resp.status_code == 500
+            assert "model crashed" in resp.json()["error"]
