@@ -19,23 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .dist import log_softmax
 from .errors import ContractError
-from .toy_lm import LossProfile, ToyLMParams, eval_positions
+from .toy_lm import LossProfile, ToyLMParams, eval_positions, lagged_tokens
 
 DEFAULT_PROBES = (0.05, 0.1)
-
-
-def _normalized_logprobs_at(
-    params: ToyLMParams, tokens: np.ndarray, positions: np.ndarray, k: int
-) -> np.ndarray:
-    """Row-normalized log-probabilities conditioning on the last k tokens
-    before each position."""
-    v = params.vocab_size
-    z = np.broadcast_to(params.bias, (len(positions), v)).copy()
-    for j in range(1, min(k, params.lag_depth) + 1):
-        z += params.lag_tables[j - 1][tokens[positions - j]]
-    mx = z.max(axis=1, keepdims=True)
-    return z - (np.log(np.exp(z - mx).sum(axis=1, keepdims=True)) + mx)
 
 
 @dataclass
@@ -95,8 +83,9 @@ def boost_derivative_check(
     targets = tokens[pos]
     rows = np.arange(len(pos))
 
-    lf_full = _normalized_logprobs_at(params, tokens, pos, m)
-    lf_short = _normalized_logprobs_at(params, tokens, pos, k)
+    recent = lagged_tokens(tokens, m)
+    lf_full = log_softmax(params.logits(recent))
+    lf_short = log_softmax(params.logits(recent[:k]))
     loss_full = float(np.mean(-lf_full[rows, targets]))
     loss_short = float(np.mean(-lf_short[rows, targets]))
     p_full = np.exp(lf_full)
@@ -155,21 +144,15 @@ def pareto_profile(
     pos = eval_positions(tokens, m)
     targets = tokens[pos]
     rows = np.arange(len(pos))
-    v = params.vocab_size
 
-    lf_full = _normalized_logprobs_at(params, tokens, pos, m)
+    recent = lagged_tokens(tokens, m)
+    lf_full = log_softmax(params.logits(recent))
     p_full = np.exp(lf_full)
-
     losses = np.empty(m)
     kls = np.empty(m)
-    z = np.broadcast_to(params.bias, (len(pos), v)).copy()
-    for k in range(1, m + 1):
-        if k <= params.lag_depth:
-            z += params.lag_tables[k - 1][tokens[pos - k]]
-        mx = z.max(axis=1, keepdims=True)
-        lf_k = z - (np.log(np.exp(z - mx).sum(axis=1, keepdims=True)) + mx)
-        losses[k - 1] = float(np.mean(-lf_k[rows, targets]))
-        kls[k - 1] = float(np.mean(np.sum(p_full * (lf_full - lf_k), axis=1)))
+    for k, lf_k in enumerate(params.prefix_logprobs(recent)):
+        losses[k] = float(np.mean(-lf_k[rows, targets]))
+        kls[k] = float(np.mean(np.sum(p_full * (lf_full - lf_k), axis=1)))
     return ParetoProfile(losses=LossProfile(losses), kl_from_max=kls)
 
 

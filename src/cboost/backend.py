@@ -120,8 +120,9 @@ class Backend:
 class CachingBackend(Backend):
     """Bounded LRU memoization of next_logprobs and score_continuation.
 
-    Keys are exact token-id tuples.  The cache is internally synchronized
-    so parallel evaluation workers can share one instance.  Cached vectors
+    Keys are exact token-id tuples.  The cache is internally synchronized:
+    ``cboost serve`` answers each request on its own thread, and all of
+    them share one instance.  Cached vectors
     are returned read-only, and must be identical to uncached results to
     the last bit.
     """

@@ -14,10 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from .backend import Backend, CachingBackend
@@ -41,6 +38,7 @@ from .tasks import (
     read_lama_items,
     read_last_token_items,
     read_mc_items,
+    read_records,
     read_summarize_items,
     render_summary_table,
     summarize_eval,
@@ -178,15 +176,21 @@ def parse_alpha_grid(arg: str) -> list[float]:
         n = int(round((hi - lo) / step))
         values = [round(lo + i * step, 12) for i in range(n + 1)]
         return [v for v in values if v <= hi + 1e-12]
-    return [float(x) for x in arg.split(",") if x.strip()]
+    try:
+        return [float(x) for x in arg.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ContractError(f"bad grid spec {arg!r}") from exc
 
 
 def parse_k_grid(arg: str) -> list[int]:
     """"lo..hi" inclusive range, or a comma-separated list."""
-    if ".." in arg:
-        lo, hi = arg.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in arg.split(",") if x.strip()]
+    try:
+        if ".." in arg:
+            lo, hi = arg.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in arg.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ContractError(f"bad --k-grid value {arg!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -220,41 +224,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parallel_eval(eval_fn, items, jobs: int):
-    """Evaluate item chunks in a worker pool, merging in input order."""
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return eval_fn(items)
-    chunks = [list(c) for c in np.array_split(np.arange(len(items)), jobs) if len(c)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda idx: eval_fn([items[i] for i in idx]), chunks))
-    per_item = [rec for r in results for rec in r.per_item]
-    correct = sum(rec["correct"] for rec in per_item)
-    merged = results[0]
-    merged.per_item = per_item
-    merged.accuracy = correct / len(per_item)
-    return merged
-
-
 def cmd_eval(args) -> int:
     backend = load_backend(args.backend, vocab=args.vocab)
-    jobs = args.jobs or os.cpu_count() or 1
     if args.task == "lasttoken":
         items = read_last_token_items(args.data, backend)
-        result = _parallel_eval(
-            lambda chunk: eval_last_token(backend, chunk, args.k, args.alpha), items, jobs
-        )
+        result = eval_last_token(backend, items, args.k, args.alpha)
     elif args.task == "mc":
         items = read_mc_items(args.data)
-        result = _parallel_eval(
-            lambda chunk: eval_multiple_choice(backend, chunk, args.alpha), items, jobs
-        )
+        result = eval_multiple_choice(backend, items, args.alpha)
     elif args.task == "lama":
         items = read_lama_items(args.data)
         if args.k is None:
             raise ContractError("--task lama requires --k")
-        result = _parallel_eval(
-            lambda chunk: eval_lama_style(backend, chunk, args.k, args.alpha), items, jobs
-        )
+        result = eval_lama_style(backend, items, args.k, args.alpha)
     elif args.task == "summarize":
         items = read_summarize_items(args.data)
         cfg = GenConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
@@ -347,21 +329,18 @@ def cmd_generate(args) -> int:
     )
     manifest = build_manifest("generate", _resolved(args), [args.prompts], args.backend)
     chash = manifest["config_hash"]
-    with open(args.prompts, encoding="utf-8") as f:
-        prompts = [json.loads(line) for line in f if line.strip()]
-    if not prompts:
-        raise ContractError("no prompts")
+    prompts = read_records(args.prompts, [("id", "id"), ("prompt", "text")])
     with open(args.out, "w", encoding="utf-8") as out:
         out.write(json.dumps({"manifest": manifest}, sort_keys=True) + "\n")
-        for rec in prompts:
-            prompt_tokens = backend.encode(rec["prompt"])
+        for prompt_id, prompt in prompts:
+            prompt_tokens = backend.encode(prompt)
             if not prompt_tokens:
-                raise ContractError(f"prompt {rec['id']} tokenizes to nothing")
+                raise ContractError(f"prompt {prompt_id} tokenizes to nothing")
             result = generate(backend, prompt_tokens, cfg)
             if result.error is not None:
-                raise BackendError(f"generation failed for {rec['id']}: {result.error}")
+                raise BackendError(f"generation failed for {prompt_id}: {result.error}")
             record = generation_record(
-                str(rec["id"]), prompt_tokens, result, backend.decode(result.tokens), chash
+                prompt_id, prompt_tokens, result, backend.decode(result.tokens), chash
             )
             out.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"wrote {len(prompts)} generations -> {args.out}")
@@ -405,7 +384,10 @@ def cmd_metrics(args) -> int:
             )
         documents.append(doc)
     corpus = Corpus(documents)
-    lr_ns = tuple(int(x) for x in args.lr_ns.split(","))
+    try:
+        lr_ns = tuple(int(x) for x in args.lr_ns.split(","))
+    except ValueError as exc:
+        raise ContractError(f"bad --lr-ns value {args.lr_ns!r}") from exc
     report = coherence_report(
         corpus,
         backend,
@@ -564,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--report", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--sentences", type=int, default=3, help="summary sentence count")
     p.add_argument("--max-new-tokens", type=int, default=100)
     p.set_defaults(func=cmd_eval)

@@ -85,38 +85,48 @@ def _scored_positions(doc: Document) -> list[int]:
     return list(range(start, len(doc.tokens)))
 
 
-def _token_probs(
+def _token_logprobs(
     doc: Document, backend: Backend, short_len: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_full, p_short) for every scored token of one document."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log-probabilities of every scored token of one document given its
+    full context and, unless ``short_len`` is None, its last ``short_len``
+    tokens: one next_logprobs_batch call per expert."""
     limit = backend.info().max_context
-    fulls = []
-    shorts = []
-    for i in _scored_positions(doc):
-        ctx = doc.prompt + doc.tokens[:i]
-        tok = doc.tokens[i]
-        full_ctx = ctx if len(ctx) <= limit else ctx[-limit:]
-        fulls.append(math.exp(backend.next_logprobs(full_ctx)[tok]))
-        if short_len is not None:
-            shorts.append(
-                math.exp(backend.next_logprobs(truncated_context(ctx, short_len))[tok])
-            )
-    return np.asarray(fulls), np.asarray(shorts)
+    seq = doc.prompt + doc.tokens
+    ends = [len(doc.prompt) + i for i in _scored_positions(doc)]
+    rows = np.arange(len(ends))
+    tokens = np.asarray([seq[e] for e in ends], dtype=np.int64)
+    full = backend.next_logprobs_batch([seq[max(e - limit, 0) : e] for e in ends])
+    if short_len is None:
+        return full[rows, tokens], None
+    short = backend.next_logprobs_batch([truncated_context(seq[:e], short_len) for e in ends])
+    return full[rows, tokens], short[rows, tokens]
 
 
-def ltf(
-    corpus: Corpus,
-    backend: Backend,
-    long_thresh: float = 0.20,
-    short_thresh: float = 0.05,
-    short_len: int = 20,
-) -> float:
-    """Frequency of long-dependent tokens: likelihood >= long_thresh given
-    the full context but < short_thresh given only short_len tokens."""
+def _token_probs(
+    corpus: Corpus, backend: Backend, short_len: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(p_full, p_short) of every scored token, one pair per document."""
+    return [
+        tuple(_exp(lp) for lp in _token_logprobs(doc, backend, short_len))
+        for doc in corpus.documents
+    ]
+
+
+def _exp(logprobs: np.ndarray) -> np.ndarray:
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    return np.asarray([math.exp(x) for x in logprobs.tolist()])
+
+
+# ltf's default likelihood thresholds, also used by coherence_report
+LTF_LONG_THRESH = 0.20
+LTF_SHORT_THRESH = 0.05
+
+
+def _ltf(probs, long_thresh: float, short_thresh: float) -> float:
     hits = 0
     total = 0
-    for doc in corpus.documents:
-        p_full, p_short = _token_probs(doc, backend, short_len)
+    for p_full, p_short in probs:
         hits += int(np.sum((p_full >= long_thresh) & (p_short < short_thresh)))
         total += len(p_full)
     if total == 0:
@@ -124,31 +134,40 @@ def ltf(
     return hits / total
 
 
-def delta(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
-    """Mean over tokens of p(full context) - p(short context)."""
-    diffs = []
-    for doc in corpus.documents:
-        p_full, p_short = _token_probs(doc, backend, short_len)
-        diffs.append(p_full - p_short)
-    all_diffs = np.concatenate(diffs)
+def _delta(probs) -> float:
+    all_diffs = np.concatenate([p_full - p_short for p_full, p_short in probs])
     if all_diffs.size == 0:
         raise ContractError("no scorable tokens in corpus")
     return float(np.mean(all_diffs))
 
 
-def corpus_perplexity(corpus: Corpus, backend: Backend) -> float:
-    """exp(mean NLL) of corpus tokens under the full available context."""
-    nll = []
-    for doc in corpus.documents:
-        limit = backend.info().max_context
-        for i in _scored_positions(doc):
-            ctx = doc.prompt + doc.tokens[:i]
-            if len(ctx) > limit:
-                ctx = ctx[-limit:]
-            nll.append(-float(backend.next_logprobs(ctx)[doc.tokens[i]]))
-    if not nll:
+def _perplexity(logprobs: list[np.ndarray]) -> float:
+    nll = -np.concatenate(logprobs)
+    if nll.size == 0:
         raise ContractError("no scorable tokens in corpus")
     return float(np.exp(np.mean(nll)))
+
+
+def ltf(
+    corpus: Corpus,
+    backend: Backend,
+    long_thresh: float = LTF_LONG_THRESH,
+    short_thresh: float = LTF_SHORT_THRESH,
+    short_len: int = 20,
+) -> float:
+    """Frequency of long-dependent tokens: likelihood >= long_thresh given
+    the full context but < short_thresh given only short_len tokens."""
+    return _ltf(_token_probs(corpus, backend, short_len), long_thresh, short_thresh)
+
+
+def delta(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
+    """Mean over tokens of p(full context) - p(short context)."""
+    return _delta(_token_probs(corpus, backend, short_len))
+
+
+def corpus_perplexity(corpus: Corpus, backend: Backend) -> float:
+    """exp(mean NLL) of corpus tokens under the full available context."""
+    return _perplexity([_token_logprobs(doc, backend, None)[0] for doc in corpus.documents])
 
 
 def zipf_coefficient(corpus: Corpus, min_count: int = 1) -> float:
@@ -427,14 +446,18 @@ def coherence_report(
     repetition_max_span: int = 16,
     zipf_min_count: int = 1,
 ) -> CoherenceReport:
+    """Every metric of the set; the model-relative ones (ppl, delta, ltf)
+    share one scoring of each document."""
+    scored = [_token_logprobs(doc, backend, short_len) for doc in corpus.documents]
+    probs = [(_exp(full), _exp(short)) for full, short in scored]
     return CoherenceReport(
-        ppl=corpus_perplexity(corpus, backend),
+        ppl=_perplexity([full for full, _ in scored]),
         self_bleu4=self_bleu4(corpus) if len(corpus.documents) > 1 else 1.0,
         zipf=zipf_coefficient(corpus, min_count=zipf_min_count),
         repetition=repetition_fraction(corpus, repetition_min_copies, repetition_max_span),
         lr={n: lr_score(corpus, n) for n in lr_ns},
-        delta=delta(corpus, backend, short_len=short_len),
-        ltf=ltf(corpus, backend, short_len=short_len),
+        delta=_delta(probs),
+        ltf=_ltf(probs, LTF_LONG_THRESH, LTF_SHORT_THRESH),
         short_len=short_len,
     )
 

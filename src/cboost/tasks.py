@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .backend import Backend, Tokens, as_tokens, truncated_context
+from .backend import Backend, Tokens, truncated_context
 from .boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist_batch, score_choice
 from .decode import GenConfig, generate_dialog
 from .errors import ContractError
@@ -138,17 +138,36 @@ def eval_last_token(
 
 
 # ---------------------------------------------------------------------------
-# Multiple choice
+# Multiple choice and candidate ranking
 # ---------------------------------------------------------------------------
 
-def _check_premise_free_suffix(backend: Backend, item: MCItem) -> None:
-    full = backend.encode(item.full_context)
-    short = backend.encode(item.premise_free_context)
-    if short and full[-len(short):] != short:
-        log.warning(
-            "item %s: premise-free context is not a token suffix of the full context",
-            item.item_id,
-        )
+def _choice_scores(
+    backend: Backend, items: Sequence[MCItem | LamaItem], k: int | None, alpha: float
+) -> list[list[MCScore]]:
+    """score_choice of every answer of every item.  An MC item pairs its
+    full context with its premise-free context; a LAMA item pairs its
+    prompt with the prompt's last k tokens."""
+    out = []
+    for item in items:
+        if isinstance(item, MCItem):
+            full = backend.encode(item.full_context)
+            short = backend.encode(item.premise_free_context)
+            if short and full[-len(short):] != short:
+                log.warning(
+                    "item %s: premise-free context is not a token suffix of the full context",
+                    item.item_id,
+                )
+            answers = item.choices
+        else:
+            if k is None or k < 1:
+                raise ContractError("k must be >= 1")
+            full = backend.encode(item.prompt)
+            if not full:
+                raise ContractError(f"item {item.item_id}: empty prompt")
+            short = truncated_context(full, k)
+            answers = item.candidates
+        out.append([score_choice(backend, full, short, backend.encode(a), alpha) for a in answers])
+    return out
 
 
 def _rank_choices(scores: list[MCScore]) -> int:
@@ -157,23 +176,14 @@ def _rank_choices(scores: list[MCScore]) -> int:
     return combined.index(best)  # ties: lowest choice index
 
 
-def eval_multiple_choice(
-    backend: Backend, items: Sequence[MCItem], alpha: float
+def _eval_choices(
+    backend: Backend, items: Sequence[MCItem | LamaItem], k: int | None, alpha: float, params: dict
 ) -> EvalResult:
-    """Pick the choice with the highest full + alpha * premise-free
-    log-likelihood; ties go to the lowest index."""
     if not items:
         raise ContractError("no items")
     per_item = []
     correct = 0
-    for item in items:
-        _check_premise_free_suffix(backend, item)
-        full_ctx = backend.encode(item.full_context)
-        short_ctx = backend.encode(item.premise_free_context)
-        scores = [
-            score_choice(backend, full_ctx, short_ctx, backend.encode(choice), alpha)
-            for choice in item.choices
-        ]
+    for item, scores in zip(items, _choice_scores(backend, items, k, alpha)):
         pred = _rank_choices(scores)
         hit = pred == item.gold
         correct += hit
@@ -189,11 +199,15 @@ def eval_multiple_choice(
                 ],
             }
         )
-    return EvalResult(
-        accuracy=correct / len(items),
-        per_item=per_item,
-        params={"alpha": alpha, "task": "mc"},
-    )
+    return EvalResult(accuracy=correct / len(items), per_item=per_item, params=params)
+
+
+def eval_multiple_choice(
+    backend: Backend, items: Sequence[MCItem], alpha: float
+) -> EvalResult:
+    """Pick the choice with the highest full + alpha * premise-free
+    log-likelihood; ties go to the lowest index."""
+    return _eval_choices(backend, items, None, alpha, {"alpha": alpha, "task": "mc"})
 
 
 def eval_lama_style(
@@ -201,41 +215,7 @@ def eval_lama_style(
 ) -> EvalResult:
     """Rank each item's candidates with the premise-free context set to the
     last k tokens of the prompt."""
-    if not items:
-        raise ContractError("no items")
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    per_item = []
-    correct = 0
-    for item in items:
-        prompt = backend.encode(item.prompt)
-        if not prompt:
-            raise ContractError(f"item {item.item_id}: empty prompt")
-        short_ctx = truncated_context(prompt, k)
-        scores = [
-            score_choice(backend, prompt, short_ctx, backend.encode(cand), alpha)
-            for cand in item.candidates
-        ]
-        pred = _rank_choices(scores)
-        hit = pred == item.gold
-        correct += hit
-        per_item.append(
-            {
-                "id": item.item_id,
-                "pred": pred,
-                "gold": item.gold,
-                "correct": bool(hit),
-                "scores": [
-                    {"full": s.full_logprob, "short": s.short_logprob, "combined": s.combined}
-                    for s in scores
-                ],
-            }
-        )
-    return EvalResult(
-        accuracy=correct / len(items),
-        per_item=per_item,
-        params={"k": k, "alpha": alpha, "task": "lama"},
-    )
+    return _eval_choices(backend, items, k, alpha, {"k": k, "alpha": alpha, "task": "lama"})
 
 
 def build_mc_item(
@@ -282,34 +262,15 @@ def evaluate_cell(
             return eval_last_token(backend, dataset, k, alpha).accuracy
         lp, targets = _last_token_dists(backend, dataset, k, alpha)
         return float(np.mean(-lp[np.arange(len(dataset)), targets]))
-    if isinstance(first, MCItem):
-        if objective == "accuracy":
-            return eval_multiple_choice(backend, dataset, alpha).accuracy
-        nll = []
-        for item in dataset:
-            full_ctx = backend.encode(item.full_context)
-            short_ctx = backend.encode(item.premise_free_context)
-            scores = [
-                score_choice(backend, full_ctx, short_ctx, backend.encode(c), alpha)
-                for c in item.choices
-            ]
-            nll.append(_listwise_nll(scores, item.gold))
-        return float(np.mean(nll))
-    if isinstance(first, LamaItem):
-        if k is None:
+    if isinstance(first, (MCItem, LamaItem)):
+        if isinstance(first, LamaItem) and k is None:
             raise ContractError("candidate-ranking sweeps need a k grid")
         if objective == "accuracy":
+            if isinstance(first, MCItem):
+                return eval_multiple_choice(backend, dataset, alpha).accuracy
             return eval_lama_style(backend, dataset, k, alpha).accuracy
-        nll = []
-        for item in dataset:
-            prompt = backend.encode(item.prompt)
-            short_ctx = truncated_context(prompt, k)
-            scores = [
-                score_choice(backend, prompt, short_ctx, backend.encode(c), alpha)
-                for c in item.candidates
-            ]
-            nll.append(_listwise_nll(scores, item.gold))
-        return float(np.mean(nll))
+        scores = _choice_scores(backend, dataset, k, alpha)
+        return float(np.mean([_listwise_nll(s, item.gold) for item, s in zip(dataset, scores)]))
     raise ContractError(f"cannot evaluate items of type {type(first).__name__}")
 
 
@@ -490,7 +451,8 @@ def summarize_eval(
 # JSONL ingestion
 # ---------------------------------------------------------------------------
 
-def _read_jsonl(path: str) -> list[dict]:
+def _read_jsonl(path: str) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line of a JSONL file."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -498,7 +460,7 @@ def _read_jsonl(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ContractError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
     if not records:
@@ -506,48 +468,78 @@ def _read_jsonl(path: str) -> list[dict]:
     return records
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# field kind -> (what the field must be, test, conversion)
+_FIELD_KINDS = {
+    "id": ("a string or an integer", lambda v: isinstance(v, str) or _is_int(v), str),
+    "text": ("a string", lambda v: isinstance(v, str), str),
+    "index": ("an integer", _is_int, int),
+    "texts": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        tuple,
+    ),
+}
+
+
+def read_records(path: str, fields: Sequence[tuple[str, str]]) -> list[list]:
+    """The listed (name, kind) fields of every record of a JSONL input
+    file, checked and converted; a bad record raises ContractError naming
+    the file, the line and the field."""
+    out = []
+    for lineno, rec in _read_jsonl(path):
+        if not isinstance(rec, dict):
+            raise ContractError(f"{path}:{lineno}: record is not a JSON object")
+        values = []
+        for name, kind in fields:
+            if name not in rec:
+                raise ContractError(f"{path}:{lineno}: missing field {name!r}")
+            what, test, convert = _FIELD_KINDS[kind]
+            if not test(rec[name]):
+                raise ContractError(f"{path}:{lineno}: field {name!r} must be {what}")
+            values.append(convert(rec[name]))
+        out.append(values)
+    return out
+
+
 def read_last_token_items(path: str, backend: Backend) -> list[LastTokenItem]:
     """Schema: {"id", "context": str, "target": str}; the target must
     tokenize to exactly one token."""
     items = []
-    for rec in _read_jsonl(path):
-        context = backend.encode(rec["context"])
+    for item_id, context_text, target_text in read_records(
+        path, [("id", "id"), ("context", "text"), ("target", "text")]
+    ):
+        context = backend.encode(context_text)
         if not context:
-            raise ContractError(f"item {rec['id']}: empty context")
-        target = backend.encode(rec["target"])
+            raise ContractError(f"item {item_id}: empty context")
+        target = backend.encode(target_text)
         if len(target) != 1:
             raise ContractError(
-                f"item {rec['id']}: target must be a single token, got {len(target)}"
+                f"item {item_id}: target must be a single token, got {len(target)}"
             )
-        items.append(LastTokenItem(str(rec["id"]), context, target[0]))
+        items.append(LastTokenItem(item_id, context, target[0]))
     return items
 
 
 def read_mc_items(path: str) -> list[MCItem]:
     """Schema: {"id", "full_context", "premise_free_context", "choices", "gold"}."""
-    return [
-        MCItem(
-            str(rec["id"]),
-            rec["full_context"],
-            rec["premise_free_context"],
-            tuple(rec["choices"]),
-            int(rec["gold"]),
-        )
-        for rec in _read_jsonl(path)
+    fields = [
+        ("id", "id"), ("full_context", "text"), ("premise_free_context", "text"),
+        ("choices", "texts"), ("gold", "index"),
     ]
+    return [MCItem(*values) for values in read_records(path, fields)]
 
 
 def read_lama_items(path: str) -> list[LamaItem]:
     """Schema: {"id", "prompt", "candidates", "gold"}."""
-    return [
-        LamaItem(str(rec["id"]), rec["prompt"], tuple(rec["candidates"]), int(rec["gold"]))
-        for rec in _read_jsonl(path)
-    ]
+    fields = [("id", "id"), ("prompt", "text"), ("candidates", "texts"), ("gold", "index")]
+    return [LamaItem(*values) for values in read_records(path, fields)]
 
 
 def read_summarize_items(path: str) -> list[SummarizeItem]:
     """Schema: {"id", "article", "reference"}."""
-    return [
-        SummarizeItem(str(rec["id"]), rec["article"], rec["reference"])
-        for rec in _read_jsonl(path)
-    ]
+    fields = [("id", "id"), ("article", "text"), ("reference", "text")]
+    return [SummarizeItem(*values) for values in read_records(path, fields)]

@@ -2,10 +2,10 @@
 
 The model's logits for a context w_1..w_n are
 
-    bias[w] + sum_{j=1..min(n, lag_depth)} lag_tables[j-1][w_{n-j+1}, w]
+    bias[w] + sum_{j=1..min(n, lag_depth)} L_j[w_{n-j+1}, w]
 
-i.e. an additive log-linear contribution from each of the last
-``lag_depth`` tokens, indexed by how far back they sit.  Truncating the
+where L_j is lag table j: an additive log-linear contribution from each of
+the last ``lag_depth`` tokens, indexed by how far back they sit.  Truncating the
 context to its last k tokens is exactly equivalent to zeroing the
 contributions of lags > k, which makes short-context experts exact, and
 the gradients are closed-form (softmax minus one-hot per prediction).
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,15 +58,44 @@ class ToyLMParams:
     def zeros(cls, vocab_size: int, lag_depth: int) -> "ToyLMParams":
         return cls(np.zeros(vocab_size), np.zeros((lag_depth, vocab_size, vocab_size)))
 
-    def logits(self, context: Sequence[int]) -> np.ndarray:
-        """Next-token logits for a (non-empty) context."""
-        context = as_tokens(context)
-        if not context:
+    def logits(self, recent) -> np.ndarray:
+        """Next-token logits from a context's tokens, nearest first:
+        ``recent[j]`` is the token j+1 positions back.  For one context,
+        pass ``context[::-1]`` and get a (V,) vector; for N contexts of one
+        length, pass a (lags, N) id array such as ``ids[:, ::-1].T`` and
+        get (N, V).  Tokens past ``lag_depth`` have no effect."""
+        if not len(recent):
             raise ContractError("context must be non-empty")
-        z = self.bias.copy()
-        for j in range(1, min(len(context), self.lag_depth) + 1):
-            z += self.lag_tables[j - 1][context[-j]]
+        tables = self.lag_tables
+        z = self.bias + tables[0][recent[0]]
+        for table, tokens in zip(tables[1:], recent[1:]):
+            z += table[tokens]
         return z
+
+    def prefix_logprobs(self, recent) -> Iterator[np.ndarray]:
+        """``log_softmax(self.logits(recent[:k]))`` for k = 1..len(recent),
+        each from the last by adding one lag."""
+        tables = self.lag_tables
+        z = np.broadcast_to(self.bias, np.shape(recent)[1:] + self.bias.shape).copy()
+        for k, tokens in enumerate(recent):
+            if k < len(tables):
+                z += tables[k][tokens]
+            yield log_softmax(z)
+
+    def add_logit_gradient(self, recent, g: np.ndarray, lengths: np.ndarray | None = None) -> None:
+        """Accumulate into these parameters (as a gradient) ``g``, the (N, V)
+        gradient of a loss with respect to the logits of N contexts given
+        nearest first as for ``logits``: each row goes to the bias and to
+        the lag-table rows of its context's tokens.  With ``lengths``,
+        context i has only its first ``lengths[i]`` lags.  Each table cell
+        takes its rows in row order."""
+        self.bias += g.sum(axis=0)
+        for j, (table, tokens) in enumerate(zip(self.lag_tables, recent)):
+            if lengths is None:
+                np.add.at(table, tokens, g)
+            else:
+                rows = lengths > j
+                np.add.at(table, tokens[rows], g[rows])
 
 
 @dataclass
@@ -131,7 +160,7 @@ def window_loss_and_gradient(
     loss = 0.0
     for t in range(n_pred):
         ctx = window[: t + 1]
-        z = params.logits(ctx)
+        z = params.logits(ctx[::-1])
         m = z.max()
         e = np.exp(z - m)
         p = e / e.sum()
@@ -196,28 +225,24 @@ def _batch_loss_and_gradient(
     """Vectorized mean window loss and gradient over a (B, win) batch."""
     b, win = batch.shape
     n_pred = win - 1
-    v = params.vocab_size
-    grad = ToyLMParams.zeros(v, params.lag_depth)
+    grad = ToyLMParams.zeros(params.vocab_size, params.lag_depth)
     total = 0.0
     scale = 1.0 / (n_pred * b)
+    rows = np.arange(b)
     for t in range(n_pred):
         # prediction t: context batch[:, :t+1], target batch[:, t+1]
-        z = np.broadcast_to(params.bias, (b, v)).copy()
-        for j in range(1, min(t + 1, params.lag_depth) + 1):
-            z += params.lag_tables[j - 1][batch[:, t + 1 - j]]
+        recent = batch[:, t::-1].T
+        z = params.logits(recent)
         mx = z.max(axis=1, keepdims=True)
         e = np.exp(z - mx)
         sums = e.sum(axis=1, keepdims=True)
         p = e / sums
         targets = batch[:, t + 1]
-        rows = np.arange(b)
         total += float(np.sum(np.log(sums[:, 0]) + mx[:, 0] - z[rows, targets]))
         g = p
         g[rows, targets] -= 1.0
         g *= scale
-        grad.bias += g.sum(axis=0)
-        for j in range(1, min(t + 1, params.lag_depth) + 1):
-            np.add.at(grad.lag_tables[j - 1], batch[:, t + 1 - j], g)
+        grad.add_logit_gradient(recent, g)
     return total * scale, grad
 
 
@@ -227,6 +252,13 @@ def eval_positions(heldout: Sequence[int], max_context: int) -> np.ndarray:
     if len(heldout) <= max_context:
         raise ContractError("held-out stream shorter than max_context + 1")
     return np.arange(max_context, len(heldout))
+
+
+def lagged_tokens(tokens: np.ndarray, lags: int) -> np.ndarray:
+    """The ids before each of ``eval_positions(tokens, lags)``, nearest
+    first, as a (lags, N) view of ``tokens``: row j holds the tokens j+1
+    places back, the form ``ToyLMParams.logits`` takes."""
+    return np.lib.stride_tricks.sliding_window_view(tokens[:-1], lags)[:, ::-1].T
 
 
 def loss_profile(
@@ -241,17 +273,11 @@ def loss_profile(
     m = params.lag_depth if max_context is None else max_context
     tokens = np.asarray(heldout, dtype=np.int64)
     pos = eval_positions(tokens, m)
-    targets = tokens[pos]
     rows = np.arange(len(pos))
-    v = params.vocab_size
-    z = np.broadcast_to(params.bias, (len(pos), v)).copy()
+    targets = tokens[pos]
     losses = np.empty(m)
-    for k in range(1, m + 1):
-        if k <= params.lag_depth:
-            z += params.lag_tables[k - 1][tokens[pos - k]]
-        mx = z.max(axis=1)
-        logz = np.log(np.exp(z - mx[:, None]).sum(axis=1)) + mx
-        losses[k - 1] = float(np.mean(logz - z[rows, targets]))
+    for k, lf in enumerate(params.prefix_logprobs(lagged_tokens(tokens, m))):
+        losses[k] = float(np.mean(-lf[rows, targets]))
     return LossProfile(losses)
 
 
@@ -373,31 +399,26 @@ class ToyBackend(Backend):
         v = self.params.vocab_size
         if any(t < 0 or t >= v for t in context):
             raise ContractError("token id out of range for this backend")
-        return log_softmax(self.params.logits(context))
+        return log_softmax(self.params.logits(context[::-1]))
 
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        """One validated gather-sum per context length.  The lag terms are
-        added in the order ``ToyLMParams.logits`` adds them, so each row is
-        bit-identical to next_logprobs."""
+        """One validated ``ToyLMParams.logits`` call per context length, so
+        each row is bit-identical to next_logprobs."""
         contexts = [as_tokens(c) for c in contexts]
         by_length: dict[int, list[int]] = {}
         for i, context in enumerate(contexts):
             self._check_context(context)
             by_length.setdefault(len(context), []).append(i)
-        p = self.params
-        v = p.vocab_size
+        v = self.params.vocab_size
         z = np.empty((len(contexts), v))
-        for n, rows in by_length.items():
+        for rows in by_length.values():
             try:
                 ids = np.array([contexts[i] for i in rows], dtype=np.int64)
             except OverflowError:
                 raise ContractError("token id out of range for this backend") from None
             if np.any((ids < 0) | (ids >= v)):
                 raise ContractError("token id out of range for this backend")
-            zn = np.broadcast_to(p.bias, (len(rows), v)).copy()
-            for j in range(1, min(n, p.lag_depth) + 1):
-                zn += p.lag_tables[j - 1][ids[:, -j]]
-            z[rows] = zn
+            z[rows] = self.params.logits(ids[:, ::-1].T)
         return log_softmax(z)
 
     def encode(self, text: str) -> Tokens:

@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .backend import Tokens, as_tokens
-from .boosting import BoostSpec, boosted_next_dist
-from .dist import log_softmax
+from .boosting import BoostSpec, boosted_next_dist_batch
 from .errors import ContractError, NumericalGuardError
 from .rng import named_rng
 from .toy_lm import ToyBackend, ToyLMParams
@@ -67,9 +66,7 @@ def sample_sequences(
     seqs = np.empty((batch, seq_len), dtype=np.int64)
     seqs[:, 0] = rng.integers(0, v, size=batch)
     for t in range(1, seq_len):
-        z = np.broadcast_to(params.bias, (batch, v)).copy()
-        for j in range(1, min(t, params.lag_depth) + 1):
-            z += params.lag_tables[j - 1][seqs[:, t - j]]
+        z = params.logits(seqs[:, t - 1 :: -1].T)
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
@@ -101,19 +98,22 @@ def kl_and_gradient(
         raise ContractError("one target distribution per context")
     if not contexts:
         raise ContractError("no positions")
+    contexts = [as_tokens(c) for c in contexts]
     n = len(contexts)
-    grad = ToyLMParams.zeros(params.vocab_size, params.lag_depth)
+    logp = ToyBackend(params).next_logprobs_batch(contexts)
+    logt = np.asarray(target_logprobs, dtype=np.float64)
+    target = np.exp(logt)
     total_kl = 0.0
-    for ctx, logt in zip(contexts, target_logprobs):
-        ctx = as_tokens(ctx)
-        logp = log_softmax(params.logits(ctx))
-        target = np.exp(logt)
-        mask = target > 0
-        total_kl += float(np.sum(target[mask] * (logt[mask] - logp[mask])))
-        g = (np.exp(logp) - target) / n
-        grad.bias += g
-        for j in range(1, min(len(ctx), params.lag_depth) + 1):
-            grad.lag_tables[j - 1][ctx[-j]] += g
+    for t, lt, lp in zip(target, logt, logp):
+        mask = t > 0
+        total_kl += float(np.sum(t[mask] * (lt[mask] - lp[mask])))
+    lengths = np.array([len(c) for c in contexts])
+    recent = np.zeros((min(int(lengths.max()), params.lag_depth), n), dtype=np.int64)
+    for i, ctx in enumerate(contexts):
+        nearest = ctx[: -len(recent) - 1 : -1]
+        recent[: len(nearest), i] = nearest
+    grad = ToyLMParams.zeros(params.vocab_size, params.lag_depth)
+    grad.add_logit_gradient(recent, (np.exp(logp) - target) / n, lengths)
     return total_kl / n, grad
 
 
@@ -140,8 +140,7 @@ def coherence_tune(params: ToyLMParams, cfg: TuneConfig) -> TuneResult:
     for step in range(cfg.steps):
         seqs = sample_sequences(params, cfg.batch, cfg.seq_len, rng)
         contexts = _step_positions(seqs, cfg.tail_positions)
-        backend = ToyBackend(params)
-        targets = [boosted_next_dist(backend, ctx, cfg.spec) for ctx in contexts]
+        targets = boosted_next_dist_batch(ToyBackend(params), contexts, cfg.spec)
         kl, grad = kl_and_gradient(params, contexts, targets)
         trace.append(kl)
         if kl > 10.0 * trace[0]:
@@ -158,22 +157,14 @@ def kl_to_boosted(
 ) -> float:
     """Mean KL(boosted || base) over the interior positions of the given
     sequences."""
-    backend = ToyBackend(params)
-    total = 0.0
-    n = 0
+    contexts: list[Tokens] = []
     for seq in sequences:
         seq = as_tokens(seq)
         if len(seq) < 2:
             raise ContractError("sequences must have length >= 2")
-        for k in range(1, len(seq)):
-            ctx = seq[:k]
-            logt = boosted_next_dist(backend, ctx, spec)
-            logp = backend.next_logprobs(ctx)
-            target = np.exp(logt)
-            mask = target > 0
-            total += float(np.sum(target[mask] * (logt[mask] - logp[mask])))
-            n += 1
-    return total / n
+        contexts.extend(seq[:k] for k in range(1, len(seq)))
+    targets = boosted_next_dist_batch(ToyBackend(params), contexts, spec)
+    return kl_and_gradient(params, contexts, targets)[0]
 
 
 def write_kl_trace(path: str, trace: Sequence[float]) -> None:

@@ -297,7 +297,7 @@ def test_criterion_09_table_shapes(cli_workspace):
     rc = main([
         "eval", "--task", "lasttoken", "--data", str(root / "items.jsonl"),
         "--backend", f"toy:{model}", "--alpha", "-0.5", "--k", "2",
-        "--report", str(eval_report), "--jobs", "1",
+        "--report", str(eval_report),
     ])
     assert rc == 0
     payload = json.load(open(eval_report))
@@ -324,7 +324,7 @@ def test_criterion_10_cli_determinism(cli_workspace):
         ),
         "eval": (
             ["eval", "--task", "lasttoken", "--data", items, "--backend", f"toy:{model}",
-             "--alpha", "-0.5", "--k", "2", "--jobs", "2",
+             "--alpha", "-0.5", "--k", "2",
              "--report", str(root / "det-eval.json")],
             [str(root / "det-eval.json")],
         ),

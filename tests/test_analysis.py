@@ -8,7 +8,13 @@ from cboost.analysis import (
 )
 from cboost.errors import ContractError
 from cboost.rng import named_rng
-from cboost.toy_lm import ToyLMParams, TrainConfig, train_uniform_scalarization
+from cboost.toy_lm import (
+    ToyBackend,
+    ToyLMParams,
+    TrainConfig,
+    eval_positions,
+    train_uniform_scalarization,
+)
 
 
 class TestDerivativeCheck:
@@ -79,6 +85,19 @@ class TestParetoProfile:
         assert all(losses[k] < min(losses[:9]) for k in (10, 11))
         assert prof.kl_from_max[-1] == 0.0  # k = M diagonal
         assert np.all(prof.kl_from_max >= -1e-15)
+
+    def test_matches_per_length_backend_forward(self, trained_params, copy_heldout):
+        heldout = copy_heldout[:400]
+        backend = ToyBackend(trained_params)
+        pos = eval_positions(heldout, 12)
+        prof = pareto_profile(trained_params, heldout)
+        full = np.array([backend.next_logprobs(heldout[p - 12 : p]) for p in pos])
+        for k in range(1, 13):
+            short = np.array([backend.next_logprobs(heldout[p - k : p]) for p in pos])
+            nll = -short[np.arange(len(pos)), [heldout[p] for p in pos]]
+            kl = np.sum(np.exp(full) * (full - short), axis=1)
+            assert abs(prof.losses[k] - np.mean(nll)) <= 1e-12
+            assert abs(prof.kl_from_max[k - 1] - np.mean(kl)) <= 1e-12
 
     def test_render_table(self, trained_params, copy_heldout):
         prof = pareto_profile(trained_params, copy_heldout[:3000])

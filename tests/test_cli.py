@@ -133,13 +133,13 @@ class TestEval:
         rc = main([
             "eval", "--task", "lasttoken", "--data", str(items),
             "--backend", f"toy:{model}", "--alpha", "0", "--k", "2",
-            "--report", str(r1), "--jobs", "1",
+            "--report", str(r1),
         ])
         assert rc == 0
         rc = main([
             "eval", "--task", "lasttoken", "--data", str(items),
             "--backend", f"toy:{model}", "--alpha", "0",
-            "--report", str(r2), "--jobs", "1",
+            "--report", str(r2),
         ])
         assert rc == 0
         a, b = json.load(open(r1)), json.load(open(r2))
@@ -152,27 +152,13 @@ class TestEval:
         rc = main([
             "eval", "--task", "lasttoken", "--data", str(items),
             "--backend", f"toy:{model}", "--alpha", "-0.5", "--k", "2",
-            "--report", str(report), "--jobs", "1",
+            "--report", str(report),
         ])
         assert rc == 0
         payload = json.load(open(report))
         for key in ("accuracy", "alpha", "k", "manifest", "n_items", "per_item"):
             assert key in payload
         assert payload["k"] == 2 and payload["alpha"] == -0.5
-
-    def test_parallel_jobs_match_serial(self, workspace, tmp_path):
-        _, _, model, items, _ = workspace
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        for path, jobs in ((serial, "1"), (parallel, "3")):
-            rc = main([
-                "eval", "--task", "lasttoken", "--data", str(items),
-                "--backend", f"toy:{model}", "--alpha", "-0.4", "--k", "2",
-                "--report", str(path), "--jobs", jobs,
-            ])
-            assert rc == 0
-        a, b = json.load(open(serial)), json.load(open(parallel))
-        assert a["accuracy"] == b["accuracy"]
-        assert a["per_item"] == b["per_item"]
 
 
 class TestSweep:
@@ -424,7 +410,7 @@ class TestRemoteEndToEnd:
         rc = main([
             "eval", "--task", "lasttoken", "--data", str(items),
             "--backend", f"toy:{model}", "--alpha", "-0.5", "--k", "2",
-            "--report", str(local_report), "--jobs", "1",
+            "--report", str(local_report),
         ])
         assert rc == 0
         with BackendServer(backend) as server:
@@ -432,7 +418,7 @@ class TestRemoteEndToEnd:
                 "eval", "--task", "lasttoken", "--data", str(items),
                 "--backend", f"remote:{server.url}", "--vocab", vocab,
                 "--alpha", "-0.5", "--k", "2",
-                "--report", str(remote_report), "--jobs", "1",
+                "--report", str(remote_report),
             ])
             assert rc == 0
         local = json.load(open(local_report))
@@ -441,6 +427,60 @@ class TestRemoteEndToEnd:
         assert [r["pred"] for r in local["per_item"]] == [
             r["pred"] for r in remote["per_item"]
         ]
+
+
+MC_RECORD = {"id": "m", "full_context": "w0 w1", "premise_free_context": "w1",
+             "choices": ["w2", "w3"], "gold": 1}
+
+
+class TestMalformedInputExit2:
+    """Bad task and prompt records exit 2 with a message naming the file,
+    the line and the field, not with a traceback."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"choices": None}, "missing field 'choices'"),
+            ({"id": None}, "missing field 'id'"),
+            ({"gold": "x"}, "field 'gold' must be an integer"),
+            ({"choices": "ab"}, "field 'choices' must be a list of strings"),
+            ({"full_context": 3}, "field 'full_context' must be a string"),
+        ],
+        ids=["no-choices", "no-id", "gold-not-int", "choices-string", "context-not-string"],
+    )
+    def test_bad_mc_record(self, workspace, tmp_path, capsys, change, message):
+        _, _, model, _, _ = workspace
+        record = {k: v for k, v in {**MC_RECORD, **change}.items() if v is not None}
+        data = tmp_path / "mc.jsonl"
+        data.write_text(json.dumps(MC_RECORD) + "\n" + json.dumps(record) + "\n")
+        rc = main([
+            "eval", "--task", "mc", "--data", str(data), "--backend", f"toy:{model}",
+            "--alpha", "0", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        assert f"{data}:2: {message}" in capsys.readouterr().err
+
+    def test_bad_prompt_record(self, workspace, tmp_path, capsys):
+        _, _, model, _, _ = workspace
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(json.dumps({"id": "p0"}) + "\n")
+        rc = main([
+            "generate", "--backend", f"toy:{model}", "--prompts", str(prompts),
+            "--out", str(tmp_path / "g.jsonl"),
+        ])
+        assert rc == 2
+        assert f"{prompts}:1: missing field 'prompt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--k-grid", "1..x"), ("--alpha-grid", "0,x")])
+    def test_bad_grid_flag(self, workspace, tmp_path, capsys, flag, value):
+        _, _, model, items, _ = workspace
+        rc = main([
+            "sweep", "--task", "lasttoken", "--backend", f"toy:{model}",
+            "--val", str(items), "--test", str(items), flag, value,
+            "--report", str(tmp_path / "s.json"),
+        ])
+        assert rc == 2
+        assert repr(value) in capsys.readouterr().err
 
 
 class TestRemoteReplyFaults:
@@ -461,7 +501,7 @@ class TestRemoteReplyFaults:
                 "eval", "--task", "lasttoken", "--data", str(items),
                 "--backend", f"remote:{server.url}",
                 "--vocab", vocab_sidecar_path(str(model)),
-                "--alpha", "0", "--jobs", "1",
+                "--alpha", "0",
                 "--report", str(tmp_path / "r.json"),
             ])
         assert rc == 3  # the server's fault, not bad input (2)

@@ -412,6 +412,37 @@ class TestReports:
         for col in COHERENCE_COLUMNS:
             assert col in header
 
+    def test_model_probes_match_per_position_oracle(self, trained_params):
+        # the position-by-position scoring the batched report replaced;
+        # max_context 12 truncates the longer contexts, and documents with
+        # and without a prompt shift the scored positions
+        backend = ToyBackend(trained_params, max_context=12)
+        rng = named_rng(36, "report-oracle")
+        docs = [
+            Document(
+                tokens=tuple(int(t) for t in rng.integers(0, 8, size=n)),
+                prompt=tuple(int(t) for t in rng.integers(0, 8, size=p)),
+            )
+            for n, p in ((30, 0), (1, 3), (18, 5), (2, 0))
+        ]
+        nll, p_full, p_short = [], [], []
+        for doc in docs:
+            for i in range(0 if doc.prompt else 1, len(doc.tokens)):
+                ctx = doc.prompt + doc.tokens[:i]
+                tok = doc.tokens[i]
+                full = backend.next_logprobs(ctx[-12:])[tok]
+                nll.append(-float(full))
+                p_full.append(math.exp(full))
+                p_short.append(math.exp(backend.next_logprobs(ctx[-5:])[tok]))
+        p_full, p_short = np.array(p_full), np.array(p_short)
+        rep = coherence_report(Corpus(docs), backend, short_len=5)
+        assert rep.ppl == float(np.exp(np.mean(nll)))
+        assert rep.delta == float(np.mean(p_full - p_short))
+        assert rep.ltf == np.count_nonzero((p_full >= 0.2) & (p_short < 0.05)) / len(p_full)
+        assert rep.ppl == corpus_perplexity(Corpus(docs), backend)
+        assert rep.delta == delta(Corpus(docs), backend, short_len=5)
+        assert rep.ltf == ltf(Corpus(docs), backend, short_len=5)
+
     def test_dialog_report_columns(self):
         candidates = [("a", "b", "c", "d", "e"), ("b", "c", "a", "f", "g")]
         refs = [[("a", "b", "c", "x", "y")], [("b", "c", "a", "z", "w")]]

@@ -6,6 +6,7 @@ import pytest
 
 from cboost.boosting import score_choice
 from cboost.decode import GenConfig, generate
+from cboost.dist import logsumexp
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 from cboost.tasks import (
@@ -27,6 +28,7 @@ from cboost.tasks import (
 )
 from cboost.toy_lm import (
     ToyBackend,
+    ToyLMParams,
     TrainConfig,
     WhitespaceTokenizer,
     corpus_tokens,
@@ -230,6 +232,69 @@ class TestEvaluateCell:
     def test_unknown_type_rejected(self, trained_backend):
         with pytest.raises(ContractError):
             evaluate_cell(trained_backend, ["nope"], 1, 0.0, "accuracy")
+
+    @staticmethod
+    def word_backend():
+        tok = WhitespaceTokenizer(["a", "b", "c", "d", "e"])
+        rng = named_rng(4, "cell-nll-model")
+        params = ToyLMParams(rng.normal(size=7), rng.normal(size=(3, 7, 7)))
+        return ToyBackend(params, tok)
+
+    @staticmethod
+    def listwise_nll_oracle(backend, items, full_short, answers, alpha):
+        nll = []
+        for item in items:
+            full, short = full_short(item)
+            combined = np.array([
+                score_choice(backend, full, short, backend.encode(a), alpha).combined
+                for a in answers(item)
+            ])
+            nll.append(logsumexp(combined) - combined[item.gold])
+        return np.mean(nll)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_mc_nll_is_listwise_logsumexp(self, alpha):
+        backend = self.word_backend()
+        items = [
+            MCItem("m0", "a b c", "b c", ("d", "e a", "b"), gold=1),
+            MCItem("m1", "e d", "d", ("a", "c c"), gold=0),
+            MCItem("m2", "c a e b", "e b", ("b d", "a", "e", "d"), gold=3),
+        ]
+        oracle = self.listwise_nll_oracle(
+            backend, items,
+            lambda it: (backend.encode(it.full_context), backend.encode(it.premise_free_context)),
+            lambda it: it.choices, alpha,
+        )
+        got = evaluate_cell(backend, items, None, alpha, "nll")
+        assert abs(got - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_lama_nll_is_listwise_logsumexp(self, alpha):
+        backend = self.word_backend()
+        items = [
+            LamaItem("l0", "a b c d", ("e", "a b"), gold=0),
+            LamaItem("l1", "d", ("c", "d e", "a"), gold=2),
+        ]
+        oracle = self.listwise_nll_oracle(
+            backend, items,
+            lambda it: (backend.encode(it.prompt), backend.encode(it.prompt)[-2:]),
+            lambda it: it.candidates, alpha,
+        )
+        got = evaluate_cell(backend, items, 2, alpha, "nll")
+        assert abs(got - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("objective", ["accuracy", "nll"])
+    def test_suffix_warning_under_both_objectives(self, objective, caplog):
+        item = MCItem("w", "a b", "a", ("c", "d"), gold=0)  # "a" is not a suffix
+        with caplog.at_level(logging.WARNING):
+            evaluate_cell(self.word_backend(), [item], None, -0.5, objective)
+        assert "not a token suffix" in caplog.text
+
+    @pytest.mark.parametrize("objective", ["accuracy", "nll"])
+    def test_empty_lama_prompt_same_error_under_both_objectives(self, objective):
+        item = LamaItem("empty", "", ("a", "b"), gold=0)
+        with pytest.raises(ContractError, match="item empty: empty prompt"):
+            evaluate_cell(self.word_backend(), [item], 2, -0.5, objective)
 
 
 class TestSummarize:

@@ -13,7 +13,9 @@ from cboost.toy_lm import (
     TrainConfig,
     UNK_TOKEN,
     WhitespaceTokenizer,
+    _batch_loss_and_gradient,
     corpus_tokens,
+    eval_positions,
     gradient,
     load_params,
     loss_profile,
@@ -153,6 +155,21 @@ class TestTraining:
         assert np.array_equal(a.bias, b.bias)
         assert np.array_equal(a.lag_tables, b.lag_tables)
 
+    @pytest.mark.parametrize("lags", [2, 5])
+    def test_batch_gradient_is_mean_of_window_oracle(self, lags):
+        # windows of 6 tokens: the first predictions see fewer tokens than
+        # the lag depth, the last ones more
+        rng = named_rng(lags, "batch-vs-window")
+        params = ToyLMParams(rng.normal(size=5), rng.normal(size=(lags, 5, 5)))
+        batch = rng.integers(0, 5, size=(7, 6))
+        loss, grad = _batch_loss_and_gradient(params, batch)
+        oracle = [window_loss_and_gradient(params, tuple(w)) for w in batch]
+        assert np.isclose(loss, np.mean([l for l, _ in oracle]), rtol=0, atol=1e-12)
+        assert np.allclose(grad.bias, np.mean([g.bias for _, g in oracle], axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(
+            grad.lag_tables, np.mean([g.lag_tables for _, g in oracle], axis=0), rtol=0, atol=1e-12
+        )
+
     def test_corpus_too_short_rejected(self):
         with pytest.raises(ContractError, match="too short"):
             train_uniform_scalarization(tuple(range(8)) * 10, TrainConfig(max_context=12))
@@ -178,6 +195,18 @@ class TestLossProfile:
     def test_alternating_all_lengths_equal(self, alternating_params):
         prof = loss_profile(alternating_params, tuple([0, 1] * 300), 2)
         assert abs(prof[2] - prof[1]) < 0.01
+
+    @pytest.mark.parametrize("max_context", [5, 12, 14])
+    def test_matches_per_length_backend_forward(self, trained_params, copy_heldout, max_context):
+        # max_context 14 runs past the lag depth: lengths 13 and 14 see
+        # the same model as 12
+        heldout = copy_heldout[:400]
+        backend = ToyBackend(trained_params)
+        pos = eval_positions(heldout, max_context)
+        prof = loss_profile(trained_params, heldout, max_context)
+        for k in range(1, max_context + 1):
+            nll = [-backend.next_logprobs(heldout[p - k : p])[heldout[p]] for p in pos]
+            assert abs(prof[k] - np.mean(nll)) <= 1e-12
 
     def test_heldout_too_short(self):
         with pytest.raises(ContractError):

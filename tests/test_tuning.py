@@ -3,8 +3,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist
+from cboost.dist import log_softmax
 from cboost.errors import ContractError, NumericalGuardError
 from cboost.rng import named_rng
 from cboost.toy_lm import ToyBackend, ToyLMParams, TrainConfig, train_uniform_scalarization
@@ -30,6 +33,29 @@ def kl_objective(params, contexts, target_logprobs):
         mask = t > 0
         total += float(np.sum(t[mask] * (logt[mask] - logp[mask])))
     return total / len(contexts)
+
+
+def per_context_kl_and_gradient(params, contexts, target_logprobs):
+    """The per-context loop that kl_and_gradient replaced, kept as its
+    bit-for-bit oracle: one forward, one KL term and one gradient scatter
+    per context, in context order."""
+    n = len(contexts)
+    grad = ToyLMParams.zeros(params.vocab_size, params.lag_depth)
+    total_kl = 0.0
+    for ctx, logt in zip(contexts, target_logprobs):
+        lags = range(1, min(len(ctx), params.lag_depth) + 1)
+        z = params.bias.copy()
+        for j in lags:
+            z += params.lag_tables[j - 1][ctx[-j]]
+        logp = log_softmax(z)
+        target = np.exp(logt)
+        mask = target > 0
+        total_kl += float(np.sum(target[mask] * (logt[mask] - logp[mask])))
+        g = (np.exp(logp) - target) / n
+        grad.bias += g
+        for j in lags:
+            grad.lag_tables[j - 1][ctx[-j]] += g
+    return total_kl / n, grad
 
 
 class TestNoBoostNoOp:
@@ -123,6 +149,30 @@ class TestGradient:
         assert kl_a == kl_b
         assert np.array_equal(grad_a.bias, grad_b.bias)
         assert np.array_equal(grad_a.lag_tables, grad_b.lag_tables)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(2, 6),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 7), min_size=1, max_size=20),
+    )
+    def test_bit_identical_to_per_context_loop(self, seed, vocab, lags, lengths):
+        # ragged contexts, some longer than the lag depth; small vocabularies
+        # repeat tokens, so table cells take several rows each; some target
+        # entries are exact zeros
+        rng = named_rng(seed, "kl-oracle")
+        params = ToyLMParams(rng.normal(size=vocab), rng.normal(size=(lags, vocab, vocab)))
+        contexts = [tuple(int(t) for t in rng.integers(0, vocab, n)) for n in lengths]
+        logits = rng.normal(size=(len(contexts), vocab)) * 3.0
+        logits[rng.random(logits.shape) < 0.3] = -np.inf
+        logits[:, 0] = 0.0
+        targets = list(log_softmax(logits))
+        kl, grad = kl_and_gradient(params, contexts, targets)
+        ref_kl, ref_grad = per_context_kl_and_gradient(params, contexts, targets)
+        assert kl == ref_kl
+        assert np.array_equal(grad.bias, ref_grad.bias)
+        assert np.array_equal(grad.lag_tables, ref_grad.lag_tables)
 
     def test_input_validation(self, trained_params):
         with pytest.raises(ContractError):
