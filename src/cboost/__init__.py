@@ -13,10 +13,8 @@ from .backend import Backend, BackendInfo, CachingBackend, Tokens, truncated_con
 from .boosting import (
     AfterSeparator,
     BoostSpec,
-    FixedK,
     MAX_CONTEXT,
     MCScore,
-    PremiseFree,
     SHORT,
     boosted_next_dist,
     boosted_next_dist_batch,

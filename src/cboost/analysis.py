@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import log_softmax
+from .dist import log_softmax, logsumexp
 from .errors import ContractError
 from .toy_lm import LossProfile, ToyLMParams, eval_positions, lagged_tokens
 
@@ -94,9 +94,7 @@ def boost_derivative_check(
 
     def nll(t: float) -> float:
         mix = (1.0 + t) * lf_full - t * lf_short
-        mx = mix.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(mix - mx).sum(axis=1)) + mx[:, 0]
-        return float(np.mean(logz - mix[rows, targets]))
+        return float(np.mean(logsumexp(mix) - mix[rows, targets]))
 
     fd = (nll(h) - nll(-h)) / (2.0 * h)
     probe_nll = {0.0: nll(0.0)}

@@ -49,6 +49,21 @@ def truncated_context(context: Sequence[int], k: int) -> Tokens:
     return as_tokens(context)[-k:]
 
 
+def token_logprobs(backend: Backend, seq: Sequence[int], start: int, window: int) -> np.ndarray:
+    """log p(seq[e] | seq[max(e - window, 0):e]) for e = start .. len(seq) - 1,
+    from one next_logprobs_batch call.  This is the one token scorer behind
+    score_continuation, the server's /v1/score and the likelihood probes."""
+    if window < 1:
+        raise ContractError(f"context truncation length must be >= 1, got {window}")
+    seq = as_tokens(seq)
+    v = backend.info().vocab_size
+    if any(t < 0 or t >= v for t in seq[start:]):
+        raise ContractError("token id out of range for this backend")
+    ends = range(start, len(seq))
+    rows = backend.next_logprobs_batch([seq[max(e - window, 0) : e] for e in ends])
+    return rows[np.arange(len(ends)), np.asarray(seq[start:], dtype=np.int64)]
+
+
 class Backend:
     """Base class.  Subclasses implement info() and next_logprobs();
     next_logprobs_batch and score_continuation have generic
@@ -76,16 +91,13 @@ class Backend:
         return np.stack(rows)
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
-        """Sum over continuation tokens of log p(token | context so far)."""
+        """Sum over continuation tokens of log p(token | context so far),
+        added in order, from one next_logprobs_batch call."""
         context = as_tokens(context)
         continuation = as_tokens(continuation)
         self._check_score_args(context, continuation)
-        total = 0.0
-        ctx = context
-        for tok in continuation:
-            total += float(self.next_logprobs(ctx)[tok])
-            ctx = ctx + (tok,)
-        return total
+        terms = token_logprobs(self, context + continuation, len(context), self.info().max_context)
+        return float(np.cumsum(terms)[-1])
 
     def _check_context(self, context: Tokens) -> None:
         if len(context) == 0:

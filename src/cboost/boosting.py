@@ -13,7 +13,7 @@ penalizes tokens that are already predictable from the short context.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .backend import Backend, Tokens, as_tokens
 from .dist import (
     DEFAULT_LOG_FLOOR,
     LogProbs,
-    argmax_token,
     log_linear_mix,
     uniform_logprobs,
 )
@@ -34,12 +33,6 @@ MAX_CONTEXT = "max"  # sentinel weight key: the full-context expert
 
 
 @dataclass(frozen=True)
-class FixedK:
-    """Short experts condition on fixed suffix lengths (the integer keys
-    of the weight map)."""
-
-
-@dataclass(frozen=True)
 class AfterSeparator:
     """The short expert conditions on the tokens after the last occurrence
     of a separator (e.g. the response generated so far in a dialog)."""
@@ -47,34 +40,23 @@ class AfterSeparator:
     separator: int
 
 
-@dataclass(frozen=True)
-class PremiseFree:
-    """The short expert conditions on an explicitly supplied context (the
-    premise-free part of a prompt)."""
-
-    context: Tokens
-
-
-ShortContextPolicy = FixedK | AfterSeparator | PremiseFree
-
-# weight key for the policy-defined short expert under AfterSeparator /
-# PremiseFree policies
+# weight key for the short expert that an AfterSeparator policy defines
 SHORT = "short"
 
 
 @dataclass(frozen=True)
 class BoostSpec:
-    """Sparse expert weights plus the policy choosing the short context.
+    """Sparse expert weights, plus the policy choosing the "short" context.
 
     ``weights`` maps context lengths to real exponents; the full-context
     expert is stored under the key "max" like any other entry, and the
-    policy-defined short expert (dialog suffix or premise-free context)
-    under "short".  At most ``max_entries`` nonzero entries are allowed:
+    short expert of an after-separator policy (the dialog suffix) under
+    "short".  At most ``max_entries`` nonzero entries are allowed:
     evaluating the model is expensive, so mixtures stay sparse.
     """
 
     weights: Mapping[int | str, float]
-    policy: ShortContextPolicy = field(default_factory=FixedK)
+    policy: AfterSeparator | None = None
     max_entries: int = 2
 
     def __post_init__(self):
@@ -91,8 +73,8 @@ class BoostSpec:
                 raise ContractError("fixed context lengths must be >= 1")
             if isinstance(key, str) and key not in (MAX_CONTEXT, SHORT):
                 raise ContractError(f"unknown sentinel weight key {key!r}")
-            if key == SHORT and isinstance(self.policy, FixedK):
-                raise ContractError('"short" entries need an after-separator or premise-free policy')
+            if key == SHORT and self.policy is None:
+                raise ContractError('"short" entries need an after-separator policy')
         if nonzero > self.max_entries:
             raise ContractError(
                 f"boost spec has {nonzero} nonzero entries, at most {self.max_entries} allowed"
@@ -145,17 +127,10 @@ def _resolve(context: Tokens, spec: BoostSpec) -> list[tuple[Tokens, float]]:
         if key == MAX_CONTEXT:
             full_weight += w
         elif key == SHORT:
-            if isinstance(spec.policy, AfterSeparator):
-                suffix = _short_context_after_separator(context, spec.policy.separator)
-                if suffix:
-                    shorts.append((suffix, w))
-                # empty suffix: nothing generated yet, leave this step unboosted
-            elif isinstance(spec.policy, PremiseFree):
-                if not spec.policy.context:
-                    raise ContractError("premise-free policy context must be non-empty")
-                shorts.append((as_tokens(spec.policy.context), w))
-            else:  # pragma: no cover - rejected at construction
-                raise ContractError('"short" entry without a short-context policy')
+            suffix = _short_context_after_separator(context, spec.policy.separator)
+            if suffix:
+                shorts.append((suffix, w))
+            # empty suffix: nothing generated yet, leave this step unboosted
         else:
             if key >= len(context):
                 full_weight += w  # expert coincides with the full context
@@ -309,8 +284,3 @@ def grid_search(
     return GridSearchResult(
         k=k_star, alpha=alpha_star, score=score_star, objective=objective, table=table
     )
-
-
-def boosted_argmax(backend: Backend, context: Sequence[int], spec: BoostSpec) -> int:
-    """Top-ranked next token under the boosted mixture (ties to lowest id)."""
-    return argmax_token(boosted_next_dist(backend, context, spec))

@@ -108,9 +108,21 @@ def vocab_sidecar_path(model_path: str) -> str:
     return model_path + ".vocab.json"
 
 
-def _load_vocab(path: str) -> WhitespaceTokenizer:
+def _read_json(path: str):
+    """The value of a JSON input file; malformed JSON raises ContractError
+    naming the file."""
     with open(path, encoding="utf-8") as f:
-        return WhitespaceTokenizer(json.load(f))
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ContractError(f"{path}: malformed JSON: {exc}") from None
+
+
+def _load_vocab(path: str) -> WhitespaceTokenizer:
+    words = _read_json(path)
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        raise ContractError(f"{path}: vocabulary must be a JSON list of strings")
+    return WhitespaceTokenizer(words)
 
 
 def load_backend(descriptor: str, cache: bool = True, vocab: str | None = None) -> Backend:
@@ -347,43 +359,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def read_generations(path: str) -> tuple[dict | None, list[dict]]:
-    manifest = None
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if "manifest" in rec and "id" not in rec:
-                manifest = rec["manifest"]
-            else:
-                records.append(rec)
-    if not records:
-        raise ContractError(f"{path}: no generation records")
-    return manifest, records
-
-
 def cmd_metrics(args) -> int:
     backend = load_backend(args.backend, vocab=args.vocab)
-    _, records = read_generations(args.generations)
-    documents = []
-    for r in records:
-        if not r["output_tokens"]:
-            continue
-        if args.score_prompt:
-            doc = Document(
-                tokens=tuple(r["prompt_tokens"]) + tuple(r["output_tokens"]),
-                text=r.get("text"),
-            )
-        else:
-            doc = Document(
-                tokens=tuple(r["output_tokens"]),
-                prompt=tuple(r["prompt_tokens"]),
-                text=r.get("text"),
-            )
-        documents.append(doc)
-    corpus = Corpus(documents)
+    fields = [("id", "id"), ("prompt_tokens", "tokens"), ("output_tokens", "tokens")]
+    records = read_records(args.generations, fields + ([("text", "text")] if args.ref else []))
+    corpus = Corpus([
+        Document(prompt + output) if args.score_prompt else Document(output, prompt)
+        for _, prompt, output, *_ in records
+        if output
+    ])
     try:
         lr_ns = tuple(int(x) for x in args.lr_ns.split(","))
     except ValueError as exc:
@@ -402,18 +386,13 @@ def cmd_metrics(args) -> int:
     payload = {"manifest": manifest, "coherence": report.to_dict()}
     table = render_coherence_table(report)
     if args.ref:
-        with open(args.ref, encoding="utf-8") as f:
-            refs_by_id = {
-                str(r["id"]): r["references"]
-                for r in (json.loads(line) for line in f if line.strip())
-            }
+        refs_by_id = dict(read_records(args.ref, [("id", "id"), ("references", "texts")]))
         candidates = []
         references = []
-        for r in records:
-            rid = str(r["id"])
+        for rid, _, _, text in records:
             if rid not in refs_by_id:
                 raise ContractError(f"no references for generation {rid}")
-            candidates.append(r["text"].split())
+            candidates.append(text.split())
             references.append([ref.split() for ref in refs_by_id[rid]])
         dialog = dialog_report(candidates, references)
         payload["dialog"] = dialog.to_dict()
@@ -467,14 +446,20 @@ def cmd_tune(args) -> int:
 def cmd_analyze(args) -> int:
     params = load_params(args.model)
     sidecar = vocab_sidecar_path(args.model)
+    with open(args.heldout, encoding="utf-8") as f:
+        text = f.read()
     if os.path.exists(sidecar):
-        with open(sidecar, encoding="utf-8") as f:
-            tokenizer = WhitespaceTokenizer(json.load(f))
-        with open(args.heldout, encoding="utf-8") as f:
-            heldout = corpus_tokens(f.read(), tokenizer)
+        heldout = corpus_tokens(text, _load_vocab(sidecar))
     else:
-        with open(args.heldout, encoding="utf-8") as f:
-            heldout = tuple(int(t) for t in f.read().split())
+        try:
+            heldout = tuple(int(t) for t in text.split())
+            if any(t < 0 or t >= params.vocab_size for t in heldout):
+                raise ValueError
+        except ValueError:
+            raise ContractError(
+                f"{args.heldout}: without a vocabulary sidecar the held-out file must "
+                f"hold token ids in [0, {params.vocab_size})"
+            ) from None
     report = boost_derivative_check(params, heldout, args.k, h=args.h)
     manifest = build_manifest("analyze", _resolved(args), [args.model, args.heldout], f"toy:{args.model}")
     payload = {"manifest": manifest, "derivative": report.to_dict()}
@@ -629,29 +614,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Resolve --config by inserting file values as defaults (flags win)."""
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None:
+    """Resolve --config by inserting file values as defaults (flags win);
+    a key that names no flag of the command being run is rejected once
+    the command line is parsed."""
     if "--config" not in argv:
-        return argv
+        return
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ContractError("--config needs a path")
     path = argv[idx + 1]
-    with open(path, encoding="utf-8") as f:
-        defaults = json.load(f)
+    defaults = _read_json(path)
     if not isinstance(defaults, dict):
         raise ContractError(f"{path}: config must be a JSON object")
-    for action in parser._subparsers._group_actions:  # type: ignore[union-attr]
-        for sp in action.choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items()})
-    return argv
+    commands = parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
+    for sp in commands.values():
+        sp.set_defaults(**defaults)
+    command = parser.parse_args(argv).command
+    flags = {a.dest for a in commands[command]._actions if a.option_strings} - {"help"}
+    unknown = sorted(set(defaults) - flags)
+    if unknown:
+        raise ContractError(f"{path}: config key {unknown[0]!r} names no flag of {command}")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
     except ContractError as exc:

@@ -30,8 +30,6 @@ Probs = np.ndarray
 # with hard zeros; the floor keeps negative powers finite and tunable.
 DEFAULT_LOG_FLOOR = float(np.log(1e-10))
 
-NORM_TOL = 1e-9
-
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:
     """logsumexp of a float64 array along its last axis, kept as a
@@ -209,12 +207,6 @@ def sample(dist: Probs, rng: np.random.Generator) -> int:
 def argmax_token(values: np.ndarray) -> int:
     """Index of the maximum; ties resolve to the lowest token id."""
     return int(np.argmax(values))
-
-
-def assert_normalized_logprobs(v: LogProbs, tol: float = NORM_TOL) -> None:
-    z = logsumexp(v)
-    if not abs(z) <= tol:
-        raise ContractError(f"log-probabilities not normalized: logsumexp={z}")
 
 
 def uniform_logprobs(n: int) -> LogProbs:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, Literal, Sequence
 
 import numpy as np
 
-from .backend import Backend, Tokens, truncated_context
+from .backend import Backend, Tokens, token_logprobs
 from .errors import ContractError
 
 Items = Sequence[Hashable]
@@ -34,7 +34,6 @@ class Document:
 
     tokens: tuple
     prompt: tuple = ()   # conditioning prefix; never scored itself
-    text: str | None = None
 
     def __post_init__(self):
         self.tokens = tuple(self.tokens)
@@ -79,28 +78,19 @@ def lr_score(corpus: Corpus, n: int) -> float:
     return r_total / s_total
 
 
-def _scored_positions(doc: Document) -> list[int]:
-    # without a prompt the first token has no context to condition on
-    start = 0 if doc.prompt else 1
-    return list(range(start, len(doc.tokens)))
-
-
 def _token_logprobs(
     doc: Document, backend: Backend, short_len: int | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Log-probabilities of every scored token of one document given its
     full context and, unless ``short_len`` is None, its last ``short_len``
     tokens: one next_logprobs_batch call per expert."""
-    limit = backend.info().max_context
     seq = doc.prompt + doc.tokens
-    ends = [len(doc.prompt) + i for i in _scored_positions(doc)]
-    rows = np.arange(len(ends))
-    tokens = np.asarray([seq[e] for e in ends], dtype=np.int64)
-    full = backend.next_logprobs_batch([seq[max(e - limit, 0) : e] for e in ends])
+    # without a prompt the first token has no context to condition on
+    start = len(doc.prompt) if doc.prompt else 1
+    full = token_logprobs(backend, seq, start, backend.info().max_context)
     if short_len is None:
-        return full[rows, tokens], None
-    short = backend.next_logprobs_batch([truncated_context(seq[:e], short_len) for e in ends])
-    return full[rows, tokens], short[rows, tokens]
+        return full, None
+    return full, token_logprobs(backend, seq, start, short_len)
 
 
 def _token_probs(
@@ -215,6 +205,26 @@ def _ngram_counts(seq: Items, n: int) -> Counter:
     return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
 
+def _clipped_counts(cand: Counter, references: Sequence[Items], n: int) -> dict:
+    """Each candidate n-gram's count, clipped at its largest count in any
+    one reference."""
+    max_ref = Counter()
+    for ref in references:
+        max_ref |= _ngram_counts(tuple(ref), n)
+    return {g: min(c, max_ref[g]) for g, c in cand.items()}
+
+
+def _pooled_ngrams(corpus: Corpus, n: int) -> tuple[Counter, int]:
+    """N-gram counts pooled across documents, and their total."""
+    pooled = Counter()
+    for doc in corpus.documents:
+        pooled.update(_ngram_counts(doc.tokens, n))
+    total = sum(pooled.values())
+    if total == 0:
+        raise ContractError(f"corpus has no {n}-grams")
+    return pooled, total
+
+
 def bleu(
     candidate: Items,
     references: Sequence[Items],
@@ -234,15 +244,7 @@ def bleu(
     for n in range(1, max_n + 1):
         cand = _ngram_counts(candidate, n)
         total = sum(cand.values())
-        if total == 0:
-            matches = 0.0
-        else:
-            max_ref = Counter()
-            for ref in references:
-                for g, c in _ngram_counts(tuple(ref), n).items():
-                    if c > max_ref[g]:
-                        max_ref[g] = c
-            matches = float(sum(min(c, max_ref[g]) for g, c in cand.items()))
+        matches = float(sum(_clipped_counts(cand, references, n).values()))
         if matches == 0.0:
             if smoothing == "epsilon" and total > 0:
                 matches = 0.1
@@ -318,13 +320,7 @@ def nist(
             cand = tuple(cand)
             cand_counts = _ngram_counts(cand, n)
             den += sum(cand_counts.values())
-            seg_max = Counter()
-            for ref in refs:
-                for g, c in _ngram_counts(tuple(ref), n).items():
-                    if c > seg_max[g]:
-                        seg_max[g] = c
-            for g, c in cand_counts.items():
-                matched = min(c, seg_max[g])
+            for g, matched in _clipped_counts(cand_counts, refs, n).items():
                 if matched:
                     num += matched * info(g)
         if den:
@@ -339,23 +335,13 @@ def nist(
 
 def distinct_n(corpus: Corpus, n: int) -> float:
     """Unique n-grams over total n-grams, pooled across documents."""
-    pooled = Counter()
-    for doc in corpus.documents:
-        pooled.update(_ngram_counts(doc.tokens, n))
-    total = sum(pooled.values())
-    if total == 0:
-        raise ContractError(f"corpus has no {n}-grams")
+    pooled, total = _pooled_ngrams(corpus, n)
     return len(pooled) / total
 
 
 def entropy_n(corpus: Corpus, n: int) -> float:
     """Shannon entropy (nats) of the pooled n-gram frequency distribution."""
-    pooled = Counter()
-    for doc in corpus.documents:
-        pooled.update(_ngram_counts(doc.tokens, n))
-    total = sum(pooled.values())
-    if total == 0:
-        raise ContractError(f"corpus has no {n}-grams")
+    pooled, total = _pooled_ngrams(corpus, n)
     p = np.asarray(list(pooled.values()), dtype=np.float64) / total
     return float(-np.sum(p * np.log(p)))
 
@@ -410,6 +396,14 @@ def rouge(candidate: Items, reference: Items, variant: Literal[1, 2, "L"]) -> Ro
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+def render_one_row_table(headers: Sequence[str], row: Sequence[str]) -> str:
+    """A header line over one row, each column right-aligned to its wider
+    cell, columns two spaces apart."""
+    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
+    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
+    return fmt.format(*headers) + "\n" + fmt.format(*row)
+
 
 @dataclass
 class CoherenceReport:
@@ -478,11 +472,7 @@ def render_coherence_table(report: CoherenceReport, label: str = "corpus") -> st
         f"{100 * report.delta:.2f}",
         f"{100 * report.ltf:.2f}",
     ]
-    headers = ["corpus"] + COHERENCE_COLUMNS
-    row = [label] + values
-    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    return fmt.format(*headers) + "\n" + fmt.format(*row)
+    return render_one_row_table(["corpus"] + COHERENCE_COLUMNS, [label] + values)
 
 
 @dataclass
@@ -499,16 +489,7 @@ class DialogReport:
     avg_len: float
 
     def to_dict(self) -> dict:
-        return {
-            "nist_2": self.nist_2,
-            "nist_4": self.nist_4,
-            "bleu_2": self.bleu_2,
-            "bleu_4": self.bleu_4,
-            "entropy_4": self.entropy_4,
-            "distinct_1": self.distinct_1,
-            "distinct_2": self.distinct_2,
-            "avg_len": self.avg_len,
-        }
+        return asdict(self)
 
 
 def dialog_report(
@@ -544,8 +525,4 @@ def render_dialog_table(report: DialogReport, label: str = "system") -> str:
         f"{100 * report.distinct_2:.2f}",
         f"{report.avg_len:.2f}",
     ]
-    headers = ["system"] + DIALOG_COLUMNS
-    row = [label] + values
-    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    return fmt.format(*headers) + "\n" + fmt.format(*row)
+    return render_one_row_table(["system"] + DIALOG_COLUMNS, [label] + values)

@@ -9,7 +9,10 @@ Wire format (JSON bodies, UTF-8):
                            -> {"logprob": float, "per_token": [float...]}
 
 Status 400 signals a contract violation, 503 a transient overload and
-500 an internal server error.  The client retries only transient
+500 an internal server error.  The reference server answers 400, and
+closes the connection without reading the body, when Content-Length is
+negative or exceeds BODY_BYTES_PER_TOKEN bytes per token of the backend's
+max_context plus BODY_ALLOWANCE.  The client retries only transient
 failures (connection errors and 503) three times with exponential
 backoff before giving up; any other status fails at once.  Replies are
 checked at the boundary: a reply must be JSON with the fields above, a
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .backend import Backend, BackendInfo, as_tokens
+from .backend import Backend, BackendInfo, as_tokens, token_logprobs
 from .dist import LogProbs, logsumexp
 from .errors import BackendError, ContractError
 
@@ -44,6 +47,10 @@ BACKOFF_BASE_SECONDS = 0.5
 # relative to |logprob| when that exceeds 1).  JSON round trips are exact,
 # so only servers computing in lower precision come near it.
 REPLY_TOL = 1e-6
+# bound on a request body (see the module docstring); a token id takes at
+# most 20 digits and a separator in JSON
+BODY_BYTES_PER_TOKEN = 24
+BODY_ALLOWANCE = 4096
 
 
 class RemoteBackend(Backend):
@@ -202,13 +209,21 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def do_POST(self):
+        backend: Backend = self.server.backend  # type: ignore[attr-defined]
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= BODY_BYTES_PER_TOKEN * backend.info().max_context + BODY_ALLOWANCE:
+            # the body stays unread, so the connection cannot carry another request
+            self.close_connection = True
+            self._send(400, {"error": "bad Content-Length"})
+            return
+        try:
             body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             self._send(400, {"error": "malformed JSON body"})
             return
-        backend: Backend = self.server.backend  # type: ignore[attr-defined]
         try:
             if self.path == "/v1/next_logprobs":
                 vec = backend.next_logprobs(as_tokens(body["tokens"]))
@@ -216,12 +231,10 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/v1/score":
                 ctx = as_tokens(body["context"])
                 cont = as_tokens(body["continuation"])
-                per_token = []
-                running = ctx
-                for tok in cont:
-                    per_token.append(float(backend.next_logprobs(running)[tok]))
-                    running = running + (tok,)
-                self._send(200, {"logprob": float(sum(per_token)), "per_token": per_token})
+                backend._check_score_args(ctx, cont)
+                per_token = token_logprobs(backend, ctx + cont, len(ctx), backend.info().max_context)
+                logprob = float(np.cumsum(per_token)[-1])  # added in order, as score_continuation
+                self._send(200, {"logprob": logprob, "per_token": per_token.tolist()})
             else:
                 self._send(400, {"error": f"unknown path {self.path}"})
         except (ContractError, KeyError, TypeError) as exc:

@@ -19,8 +19,9 @@ import numpy as np
 from .backend import Backend, Tokens, truncated_context
 from .boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist_batch, score_choice
 from .decode import GenConfig, generate_dialog
+from .dist import logsumexp
 from .errors import ContractError
-from .metrics import RougeScore, rouge
+from .metrics import RougeScore, render_one_row_table, rouge
 from .rng import named_rng
 
 log = logging.getLogger(__name__)
@@ -78,14 +79,6 @@ class EvalResult:
     @property
     def n_items(self) -> int:
         return len(self.per_item)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "n_items": self.n_items,
-            "params": self.params,
-            "per_item": self.per_item,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +234,7 @@ def build_mc_item(
 
 def _listwise_nll(scores: list[MCScore], gold: int) -> float:
     combined = np.asarray([s.combined for s in scores])
-    m = combined.max()
-    return float(np.log(np.sum(np.exp(combined - m))) + m - combined[gold])
+    return logsumexp(combined) - float(combined[gold])
 
 
 def evaluate_cell(
@@ -393,16 +385,11 @@ class SummarizeReport:
 
 def render_summary_table(report: SummarizeReport, label: str = "model") -> str:
     mean = report.mean_f1()
-    headers = ["system", "ROUGE-1", "ROUGE-2", "ROUGE-L"]
-    row = [
-        f"{label} (alpha={report.alpha:g})",
-        f"{100 * mean['rouge1']:.3f}",
-        f"{100 * mean['rouge2']:.3f}",
-        f"{100 * mean['rougeL']:.3f}",
-    ]
-    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    return fmt.format(*headers) + "\n" + fmt.format(*row)
+    return render_one_row_table(
+        ["system", "ROUGE-1", "ROUGE-2", "ROUGE-L"],
+        [f"{label} (alpha={report.alpha:g})"]
+        + [f"{100 * mean[key]:.3f}" for key in ("rouge1", "rouge2", "rougeL")],
+    )
 
 
 def summarize_eval(
@@ -452,7 +439,9 @@ def summarize_eval(
 # ---------------------------------------------------------------------------
 
 def _read_jsonl(path: str) -> list[tuple[int, dict]]:
-    """(line number, record) for every non-blank line of a JSONL file."""
+    """(line number, record) for every non-blank line of a JSONL file,
+    except a leading {"manifest": ...} line such as ``cboost generate``
+    writes."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -460,9 +449,12 @@ def _read_jsonl(path: str) -> list[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                records.append((lineno, json.loads(line)))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ContractError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not records and isinstance(rec, dict) and list(rec) == ["manifest"]:
+                continue
+            records.append((lineno, rec))
     if not records:
         raise ContractError(f"{path}: no records")
     return records
@@ -480,6 +472,11 @@ _FIELD_KINDS = {
     "texts": (
         "a list of strings",
         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        tuple,
+    ),
+    "tokens": (
+        "a list of integers",
+        lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
         tuple,
     ),
 }

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cboost.backend import BackendInfo, CachingBackend, truncated_context
+from cboost.backend import BackendInfo, CachingBackend, token_logprobs, truncated_context
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 from cboost.toy_lm import ToyBackend, ToyLMParams
 
 from conftest import CountingBackend
+from test_boosting import SparseBackend
 
 
 class TestTruncatedContext:
@@ -108,6 +109,83 @@ class TestScoreContinuation:
         backend = ToyBackend(ToyLMParams.zeros(4, 2), max_context=4)
         with pytest.raises(ContractError):
             backend.score_continuation((0, 1, 2), (3, 0))
+
+
+def _per_token_gather(backend, seq, start, window):
+    """The oracle for token_logprobs: one next_logprobs call per token."""
+    return np.array(
+        [backend.next_logprobs(seq[max(e - window, 0) : e])[seq[e]] for e in range(start, len(seq))]
+    )
+
+
+def _outcome(fn):
+    """What fn returns, or the (type, message) of the ContractError it raises."""
+    try:
+        return fn()
+    except ContractError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def scorer_cases(draw):
+    v = draw(st.integers(2, 9))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["toy", "cached", "sparse"]))
+    if kind == "sparse":
+        backend = SparseBackend(v, seed)  # -inf entries, the generic batch loop
+    else:
+        rng = np.random.default_rng(seed)
+        lags = draw(st.integers(1, 4))
+        backend = ToyBackend(ToyLMParams(rng.normal(size=v) * 2, rng.normal(size=(lags, v, v)) * 2))
+        if kind == "cached":
+            backend = CachingBackend(backend)
+    seq = tuple(draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=12)))
+    start = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, len(seq))))
+    window = draw(st.integers(1, 15))  # shorter and longer than the sequence
+    return backend, seq, start, window
+
+
+class TestTokenLogprobs:
+    @settings(max_examples=200, deadline=None)
+    @given(scorer_cases())
+    def test_equals_per_token_gather(self, case):
+        backend, seq, start, window = case
+        expected = _outcome(lambda: _per_token_gather(backend, seq, start, window))
+        got = _outcome(lambda: token_logprobs(backend, seq, start, window))
+        if isinstance(expected, tuple):  # start 0: the first token has no context
+            assert got == expected
+        else:
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scorer_cases())
+    def test_score_continuation_adds_terms_in_order(self, case):
+        backend, seq, start, _ = case
+        if not 1 <= start < len(seq):
+            return
+        total = 0.0  # the per-token loop score_continuation replaced
+        for e in range(start, len(seq)):
+            total += float(backend.next_logprobs(seq[:e])[seq[e]])
+        assert backend.score_continuation(seq[:start], seq[start:]) == total
+
+    def test_out_of_range_target_rejected(self, uniform_backend):
+        with pytest.raises(ContractError, match="out of range"):
+            token_logprobs(uniform_backend, (0, 1, 8), 1, 4)
+        with pytest.raises(ContractError, match="out of range"):
+            uniform_backend.score_continuation((0,), (-1,))
+
+    def test_window_below_one_rejected(self, uniform_backend):
+        with pytest.raises(ContractError, match=">= 1"):
+            token_logprobs(uniform_backend, (0, 1, 2), 1, 0)
+
+    def test_one_batch_call(self, trained_params):
+        calls = []
+        backend = ToyBackend(trained_params)
+        batch = backend.next_logprobs_batch
+        backend.next_logprobs_batch = lambda contexts: calls.append(len(contexts)) or batch(contexts)
+        backend.score_continuation((1, 2), (3, 4, 5))
+        assert calls == [3]
 
 
 class TestCachingBackend:

@@ -11,7 +11,6 @@ from cboost.boosting import (
     SHORT,
     AfterSeparator,
     BoostSpec,
-    PremiseFree,
     boosted_next_dist,
     boosted_next_dist_batch,
     grid_search,
@@ -117,18 +116,6 @@ class TestBoostedNextDist:
         ctx = (1, 2, 7)
         lp = boosted_next_dist(trained_backend, ctx, spec)
         assert np.array_equal(lp, trained_backend.next_logprobs(ctx))
-
-    def test_premise_free_policy(self, trained_backend):
-        spec = BoostSpec(
-            weights={MAX_CONTEXT: 1.0, SHORT: -0.5}, policy=PremiseFree((2, 2))
-        )
-        ctx = (1, 2, 3, 4)
-        lp = boosted_next_dist(trained_backend, ctx, spec)
-        manual = log_linear_mix(
-            [trained_backend.next_logprobs(ctx), trained_backend.next_logprobs((2, 2))],
-            [1.0, -0.5],
-        )
-        assert np.array_equal(lp, manual)
 
 
 class TestScoreChoice:

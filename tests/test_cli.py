@@ -320,7 +320,7 @@ class TestConfigFileAndExitCodes:
     def test_config_file_defaults_flags_win(self, workspace, tmp_path):
         _, _, model, items, _ = workspace
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"alpha": -0.5, "k": 2, "jobs": 1}))
+        config.write_text(json.dumps({"alpha": -0.5, "k": 2}))
         report = tmp_path / "r.json"
         rc = main([
             "--config", str(config),
@@ -481,6 +481,93 @@ class TestMalformedInputExit2:
         ])
         assert rc == 2
         assert repr(value) in capsys.readouterr().err
+
+
+GEN_RECORD = {"id": "g", "prompt_tokens": [2, 3], "output_tokens": [4, 5, 6, 7, 2], "text": "w2 w3"}
+
+
+class TestMalformedMetricsInputExit2:
+    """Bad generation and reference records exit 2 naming the file, the
+    line and the field."""
+
+    def run_metrics(self, workspace, tmp_path, gen_lines, ref_lines=None):
+        _, _, model, _, _ = workspace
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text("\n".join([json.dumps({"manifest": {}})] + gen_lines) + "\n")
+        argv = ["metrics", "--generations", str(gen), "--backend", f"toy:{model}",
+                "--report", str(tmp_path / "m.json"), "--short-len", "2"]
+        if ref_lines is not None:
+            refs = tmp_path / "refs.jsonl"
+            refs.write_text("\n".join(ref_lines) + "\n")
+            argv += ["--ref", str(refs)]
+        return main(argv), gen
+
+    def test_missing_output_tokens(self, workspace, tmp_path, capsys):
+        record = {k: v for k, v in GEN_RECORD.items() if k != "output_tokens"}
+        rc, gen = self.run_metrics(workspace, tmp_path, [json.dumps(GEN_RECORD), json.dumps(record)])
+        assert rc == 2
+        assert f"{gen}:3: missing field 'output_tokens'" in capsys.readouterr().err
+
+    def test_line_not_json(self, workspace, tmp_path, capsys):
+        rc, gen = self.run_metrics(workspace, tmp_path, [json.dumps(GEN_RECORD), "{not json"])
+        assert rc == 2
+        assert f"{gen}:3: malformed JSON" in capsys.readouterr().err
+
+    def test_ref_missing_references(self, workspace, tmp_path, capsys):
+        rc, _ = self.run_metrics(
+            workspace, tmp_path, [json.dumps(GEN_RECORD)], [json.dumps({"id": "g"})]
+        )
+        assert rc == 2
+        assert "refs.jsonl:1: missing field 'references'" in capsys.readouterr().err
+
+    def test_text_checked_only_with_refs(self, workspace, tmp_path, capsys):
+        record = {k: v for k, v in GEN_RECORD.items() if k != "text"}
+        rc, _ = self.run_metrics(workspace, tmp_path, [json.dumps(record)])
+        assert rc == 0
+        refs = [json.dumps({"id": "g", "references": ["w2"]})]
+        rc, gen = self.run_metrics(workspace, tmp_path, [json.dumps(record)], refs)
+        assert rc == 2
+        assert f"{gen}:2: missing field 'text'" in capsys.readouterr().err
+
+
+class TestOtherInputFilesExit2:
+    def test_misspelt_config_key(self, workspace, tmp_path, capsys):
+        _, _, model, items, _ = workspace
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"alpah": -0.5}))
+        rc = main([
+            "--config", str(config),
+            "eval", "--task", "lasttoken", "--data", str(items),
+            "--backend", f"toy:{model}", "--alpha", "0", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        assert "'alpah'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_integer_heldout_without_sidecar(self, workspace, tmp_path, capsys):
+        _, corpus, model, _, _ = workspace
+        bare = tmp_path / "bare.tlm"
+        bare.write_bytes(model.read_bytes())  # no vocabulary sidecar
+        rc = main([
+            "analyze", "--model", str(bare), "--heldout", str(corpus),
+            "--k", "2", "--report", str(tmp_path / "a.json"),
+        ])
+        assert rc == 2
+        assert str(corpus) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["sidecar", "--vocab"])
+    def test_malformed_vocabulary(self, workspace, tmp_path, capsys, via):
+        _, _, model, items, _ = workspace
+        copy = tmp_path / "m.tlm"
+        copy.write_bytes(model.read_bytes())
+        bad = tmp_path / "bad.vocab.json" if via == "--vocab" else vocab_sidecar_path(str(copy))
+        with open(bad, "w") as f:
+            f.write('["w0", "w1"')
+        argv = ["eval", "--task", "lasttoken", "--data", str(items), "--backend", f"toy:{copy}",
+                "--alpha", "0", "--report", str(tmp_path / "r.json")]
+        rc = main(argv + (["--vocab", str(bad)] if via == "--vocab" else []))
+        assert rc == 2
+        assert f"{bad}: malformed JSON" in capsys.readouterr().err
 
 
 class TestRemoteReplyFaults:

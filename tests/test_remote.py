@@ -1,3 +1,4 @@
+import http.client
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -6,9 +7,15 @@ import numpy as np
 import pytest
 import requests
 
-from cboost.backend import Backend, BackendInfo, CachingBackend
+from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs
 from cboost.errors import BackendError, ContractError
-from cboost.remote import REPLY_TOL, BackendServer, RemoteBackend
+from cboost.remote import (
+    BODY_ALLOWANCE,
+    BODY_BYTES_PER_TOKEN,
+    REPLY_TOL,
+    BackendServer,
+    RemoteBackend,
+)
 from cboost.toy_lm import ToyBackend
 
 
@@ -56,6 +63,50 @@ class TestProtocol:
         assert resp.status_code == 200
         assert len(body["per_token"]) == 2
         assert abs(sum(body["per_token"]) - body["logprob"]) < 1e-12
+
+    def test_score_per_token_equals_in_process_terms(self, served):
+        local, server = served
+        ctx, cont = (0, 1, 5), (2, 3, 7, 1, 1)
+        body = requests.post(
+            server.url + "/v1/score",
+            json={"context": list(ctx), "continuation": list(cont)},
+            timeout=5,
+        ).json()
+        gather = [float(local.next_logprobs(ctx + cont[:i])[tok]) for i, tok in enumerate(cont)]
+        assert body["per_token"] == gather
+        assert body["per_token"] == token_logprobs(local, ctx + cont, 3, 64).tolist()
+        assert body["logprob"] == local.score_continuation(ctx, cont)
+
+    def test_score_over_budget_is_400(self, served):
+        _, server = served
+        resp = requests.post(
+            server.url + "/v1/score", json={"context": [1] * 60, "continuation": [2] * 5}, timeout=5
+        )
+        assert resp.status_code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "999999999", "bound+1"])
+    def test_bad_content_length_is_400_without_reading(self, served, length):
+        local, server = served
+        bound = BODY_BYTES_PER_TOKEN * local.info().max_context + BODY_ALLOWANCE
+        host, port = server.url[len("http://"):].split(":")
+        # no body follows: a server that tried to read one would wait
+        # until the socket timeout fails the test
+        conn = http.client.HTTPConnection(host, int(port), timeout=3)
+        conn.putrequest("POST", "/v1/next_logprobs")
+        conn.putheader("Content-Length", str(bound + 1) if length == "bound+1" else length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
+        conn.close()
+
+    def test_body_at_the_bound_is_read(self, served):
+        local, server = served
+        bound = BODY_BYTES_PER_TOKEN * local.info().max_context + BODY_ALLOWANCE
+        body = json.dumps({"tokens": [1, 2]}).ljust(bound).encode()
+        resp = requests.post(server.url + "/v1/next_logprobs", data=body, timeout=5)
+        assert resp.status_code == 200
+        assert np.array_equal(resp.json()["logprobs"], local.next_logprobs((1, 2)))
 
     def test_malformed_body_is_400(self, served):
         _, server = served
