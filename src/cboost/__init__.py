@@ -40,6 +40,7 @@ from .tasks import (
     LastTokenItem,
     MCItem,
     SummarizeItem,
+    eval_items,
     eval_lama_style,
     eval_last_token,
     eval_multiple_choice,

@@ -260,7 +260,7 @@ def grid_search(
     """Exhaustive sweep over (k, alpha) cells, best cell by objective.
 
     ``evaluate(backend, dataset, k, alpha, objective) -> float`` defaults to
-    the task-appropriate harness from eval_tasks (dispatched on item type).
+    tasks.evaluate_cell, which scores any task's items.
     Accuracy is maximized, NLL minimized.  Ties prefer smaller ``abs(alpha)``
     and then smaller k — the candidate closest to the base model.
     """

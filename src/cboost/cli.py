@@ -31,15 +31,11 @@ from .metrics import (
 )
 from .remote import BackendServer, RemoteBackend
 from .tasks import (
+    eval_items,
     evaluate_cell,
-    eval_last_token,
-    eval_lama_style,
-    eval_multiple_choice,
-    read_lama_items,
-    read_last_token_items,
-    read_mc_items,
     read_records,
-    read_summarize_items,
+    read_task_items,
+    read_text,
     render_summary_table,
     summarize_eval,
 )
@@ -111,11 +107,11 @@ def vocab_sidecar_path(model_path: str) -> str:
 def _read_json(path: str):
     """The value of a JSON input file; malformed JSON raises ContractError
     naming the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except ValueError as exc:
-            raise ContractError(f"{path}: malformed JSON: {exc}") from None
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ContractError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _load_vocab(path: str) -> WhitespaceTokenizer:
@@ -210,8 +206,7 @@ def parse_k_grid(arg: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    with open(args.corpus, encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(args.corpus)
     tokenizer = WhitespaceTokenizer.from_corpus(text)
     tokens = corpus_tokens(text, tokenizer)
     cfg = TrainConfig(
@@ -238,37 +233,24 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     backend = load_backend(args.backend, vocab=args.vocab)
-    if args.task == "lasttoken":
-        items = read_last_token_items(args.data, backend)
-        result = eval_last_token(backend, items, args.k, args.alpha)
-    elif args.task == "mc":
-        items = read_mc_items(args.data)
-        result = eval_multiple_choice(backend, items, args.alpha)
-    elif args.task == "lama":
-        items = read_lama_items(args.data)
-        if args.k is None:
-            raise ContractError("--task lama requires --k")
-        result = eval_lama_style(backend, items, args.k, args.alpha)
-    elif args.task == "summarize":
-        items = read_summarize_items(args.data)
+    items = read_task_items(args.task, args.data, backend)
+    manifest = build_manifest("eval", _resolved(args), [args.data], args.backend)
+    if args.task == "summarize":
         cfg = GenConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
         report = summarize_eval(
             backend, items, args.alpha, cfg, sentence_count=args.sentences
         )
-        manifest = build_manifest("eval", _resolved(args), [args.data], args.backend)
         write_json_report(args.report, {"manifest": manifest, **report.to_dict()})
         print(render_summary_table(report))
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ContractError(f"unknown task {args.task}")
-    manifest = build_manifest("eval", _resolved(args), [args.data], args.backend)
+    result = eval_items(backend, items, args.k, args.alpha)
     payload = {
         "manifest": manifest,
         "task": args.task,
         "accuracy": result.accuracy,
         "alpha": args.alpha,
         "k": args.k,
-        "n_items": result.n_items,
+        "n_items": len(result.per_item),
         "per_item": result.per_item,
     }
     write_json_report(args.report, payload)
@@ -282,18 +264,10 @@ def cmd_sweep(args) -> int:
     backend = load_backend(args.backend, vocab=args.vocab)
     alpha_grid = parse_alpha_grid(args.alpha_grid)
     k_grid: list[int | None] = list(parse_k_grid(args.k_grid)) if args.k_grid else [None]
-    if args.task == "lasttoken":
-        val = read_last_token_items(args.val, backend)
-        test = read_last_token_items(args.test, backend)
-    elif args.task == "mc":
-        val = read_mc_items(args.val)
-        test = read_mc_items(args.test)
-        k_grid = [None]
-    elif args.task == "lama":
-        val = read_lama_items(args.val)
-        test = read_lama_items(args.test)
-    else:
-        raise ContractError(f"--task {args.task} cannot be swept")
+    val = read_task_items(args.task, args.val, backend)
+    test = read_task_items(args.task, args.test, backend)
+    if args.task == "mc":
+        k_grid = [None]  # MC ignores k: one table row per alpha
     result: GridSearchResult = grid_search(
         backend, val, k_grid, alpha_grid, objective=args.objective
     )
@@ -446,8 +420,7 @@ def cmd_tune(args) -> int:
 def cmd_analyze(args) -> int:
     params = load_params(args.model)
     sidecar = vocab_sidecar_path(args.model)
-    with open(args.heldout, encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(args.heldout)
     if os.path.exists(sidecar):
         heldout = corpus_tokens(text, _load_vocab(sidecar))
     else:

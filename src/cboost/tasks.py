@@ -70,76 +70,31 @@ class SummarizeItem:
     reference: str
 
 
+# ---------------------------------------------------------------------------
+# Scoring one (k, alpha) cell
+# ---------------------------------------------------------------------------
+
 @dataclass
 class EvalResult:
     accuracy: float
     per_item: list[dict]
-    params: dict
 
-    @property
-    def n_items(self) -> int:
-        return len(self.per_item)
-
-
-# ---------------------------------------------------------------------------
-# Last-token prediction
-# ---------------------------------------------------------------------------
 
 def _last_token_spec(k: int | None, alpha: float) -> BoostSpec:
     """f_max * f_k^alpha: full weight 1, short weight alpha."""
-    if k is None or alpha == 0:
+    if alpha == 0:
         return BoostSpec.base_model()
+    if k is None:
+        raise ContractError("last-token boosting with alpha != 0 needs k")
     return BoostSpec(weights={MAX_CONTEXT: 1.0, int(k): float(alpha)})
 
-
-def _last_token_dists(
-    backend: Backend, items: Sequence[LastTokenItem], k: int | None, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boosted next-token log-probabilities of every item, (N, V), and the
-    items' targets."""
-    spec = _last_token_spec(k, alpha)
-    lp = boosted_next_dist_batch(backend, [item.context for item in items], spec)
-    return lp, np.array([item.target for item in items], dtype=np.int64)
-
-
-def eval_last_token(
-    backend: Backend, items: Sequence[LastTokenItem], k: int | None, alpha: float
-) -> EvalResult:
-    """Accuracy of argmax prediction under f_max * f_k^alpha."""
-    if not items:
-        raise ContractError("no items")
-    lp, targets = _last_token_dists(backend, items, k, alpha)
-    preds = lp.argmax(axis=1)  # ties to the lowest id
-    hits = preds == targets
-    per_item = [
-        {
-            "id": item.item_id,
-            "pred": pred,
-            "target": item.target,
-            "correct": hit,
-            "logprob_target": target_lp,
-        }
-        for item, pred, hit, target_lp in zip(
-            items, preds.tolist(), hits.tolist(), lp[np.arange(len(items)), targets].tolist()
-        )
-    ]
-    return EvalResult(
-        accuracy=int(np.count_nonzero(hits)) / len(items),
-        per_item=per_item,
-        params={"k": k, "alpha": alpha, "task": "lasttoken"},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Multiple choice and candidate ranking
-# ---------------------------------------------------------------------------
 
 def _choice_scores(
     backend: Backend, items: Sequence[MCItem | LamaItem], k: int | None, alpha: float
 ) -> list[list[MCScore]]:
     """score_choice of every answer of every item.  An MC item pairs its
-    full context with its premise-free context; a LAMA item pairs its
-    prompt with the prompt's last k tokens."""
+    full context with its premise-free context and ignores k; a LAMA item
+    pairs its prompt with the prompt's last k tokens."""
     out = []
     for item in items:
         if isinstance(item, MCItem):
@@ -153,7 +108,7 @@ def _choice_scores(
             answers = item.choices
         else:
             if k is None or k < 1:
-                raise ContractError("k must be >= 1")
+                raise ContractError("LAMA items need k >= 1")
             full = backend.encode(item.prompt)
             if not full:
                 raise ContractError(f"item {item.item_id}: empty prompt")
@@ -163,36 +118,74 @@ def _choice_scores(
     return out
 
 
-def _rank_choices(scores: list[MCScore]) -> int:
-    combined = [s.combined for s in scores]
-    best = max(combined)
-    return combined.index(best)  # ties: lowest choice index
-
-
-def _eval_choices(
-    backend: Backend, items: Sequence[MCItem | LamaItem], k: int | None, alpha: float, params: dict
-) -> EvalResult:
+def _score_cell(
+    backend: Backend, items: Sequence, k: int | None, alpha: float
+) -> tuple[np.ndarray | list[list[MCScore]], np.ndarray, np.ndarray, np.ndarray]:
+    """Scores of every item at one (k, alpha) cell, with each item's argmax
+    prediction (ties to the lowest index), gold index and gold negative
+    log-probability.  Last-token items score as the (N, V) boosted
+    next-token log-probabilities; MC and LAMA items as the MCScore of every
+    answer, their NLL normalized over the answers."""
     if not items:
         raise ContractError("no items")
-    per_item = []
-    correct = 0
-    for item, scores in zip(items, _choice_scores(backend, items, k, alpha)):
-        pred = _rank_choices(scores)
-        hit = pred == item.gold
-        correct += hit
-        per_item.append(
+    first = items[0]
+    if isinstance(first, LastTokenItem):
+        spec = _last_token_spec(k, alpha)
+        lp = boosted_next_dist_batch(backend, [item.context for item in items], spec)
+        gold = np.array([item.target for item in items], dtype=np.int64)
+        return lp, lp.argmax(axis=1), gold, -lp[np.arange(len(items)), gold]
+    if isinstance(first, (MCItem, LamaItem)):
+        scores = _choice_scores(backend, items, k, alpha)
+        preds, nll = [], []
+        for item, answers in zip(items, scores):
+            combined = [s.combined for s in answers]
+            preds.append(combined.index(max(combined)))
+            nll.append(logsumexp(np.asarray(combined)) - combined[item.gold])
+        gold = np.array([item.gold for item in items], dtype=np.int64)
+        return scores, np.array(preds, dtype=np.int64), gold, np.array(nll)
+    raise ContractError(f"cannot evaluate items of type {type(first).__name__}")
+
+
+def eval_items(
+    backend: Backend, items: Sequence, k: int | None, alpha: float
+) -> EvalResult:
+    """Accuracy and per-item report records of one (k, alpha) cell."""
+    scores, preds, gold, nll = _score_cell(backend, items, k, alpha)
+    hits = preds == gold
+    if isinstance(scores, np.ndarray):
+        per_item = [
+            {
+                "id": item.item_id,
+                "pred": pred,
+                "target": item.target,
+                "correct": hit,
+                "logprob_target": lp,
+            }
+            for item, pred, hit, lp in zip(items, preds.tolist(), hits.tolist(), (-nll).tolist())
+        ]
+    else:
+        per_item = [
             {
                 "id": item.item_id,
                 "pred": pred,
                 "gold": item.gold,
-                "correct": bool(hit),
+                "correct": hit,
                 "scores": [
                     {"full": s.full_logprob, "short": s.short_logprob, "combined": s.combined}
-                    for s in scores
+                    for s in answers
                 ],
             }
-        )
-    return EvalResult(accuracy=correct / len(items), per_item=per_item, params=params)
+            for item, pred, hit, answers in zip(items, preds.tolist(), hits.tolist(), scores)
+        ]
+    return EvalResult(accuracy=int(np.count_nonzero(hits)) / len(items), per_item=per_item)
+
+
+def eval_last_token(
+    backend: Backend, items: Sequence[LastTokenItem], k: int | None, alpha: float
+) -> EvalResult:
+    """Accuracy of argmax prediction under f_max * f_k^alpha; alpha != 0
+    needs k."""
+    return eval_items(backend, items, k, alpha)
 
 
 def eval_multiple_choice(
@@ -200,7 +193,7 @@ def eval_multiple_choice(
 ) -> EvalResult:
     """Pick the choice with the highest full + alpha * premise-free
     log-likelihood; ties go to the lowest index."""
-    return _eval_choices(backend, items, None, alpha, {"alpha": alpha, "task": "mc"})
+    return eval_items(backend, items, None, alpha)
 
 
 def eval_lama_style(
@@ -208,7 +201,24 @@ def eval_lama_style(
 ) -> EvalResult:
     """Rank each item's candidates with the premise-free context set to the
     last k tokens of the prompt."""
-    return _eval_choices(backend, items, k, alpha, {"k": k, "alpha": alpha, "task": "lama"})
+    return eval_items(backend, items, k, alpha)
+
+
+def evaluate_cell(
+    backend: Backend,
+    dataset: Sequence,
+    k: int | None,
+    alpha: float,
+    objective: Literal["accuracy", "nll"] = "accuracy",
+) -> float:
+    """Score one (k, alpha) grid cell on a dataset.  Accuracy counts argmax
+    hits; NLL is the mean negative log-probability of the gold target
+    (boosted vocabulary distribution for last-token items,
+    choice-normalized scores otherwise)."""
+    _, preds, gold, nll = _score_cell(backend, dataset, k, alpha)
+    if objective == "accuracy":
+        return int(np.count_nonzero(preds == gold)) / len(gold)
+    return float(np.mean(nll))
 
 
 def build_mc_item(
@@ -226,44 +236,6 @@ def build_mc_item(
     premise = premise.strip()
     full = f"{premise}{joiner}{premise_free_context}" if premise else premise_free_context
     return MCItem(item_id, full, premise_free_context, tuple(choices), gold)
-
-
-# ---------------------------------------------------------------------------
-# Grid-search plumbing
-# ---------------------------------------------------------------------------
-
-def _listwise_nll(scores: list[MCScore], gold: int) -> float:
-    combined = np.asarray([s.combined for s in scores])
-    return logsumexp(combined) - float(combined[gold])
-
-
-def evaluate_cell(
-    backend: Backend,
-    dataset: Sequence,
-    k: int | None,
-    alpha: float,
-    objective: Literal["accuracy", "nll"] = "accuracy",
-) -> float:
-    """Score one (k, alpha) grid cell on a dataset, dispatching on item
-    type.  Accuracy counts argmax hits; NLL is the mean negative
-    log-probability of the gold target (boosted vocabulary distribution
-    for last-token items, choice-normalized scores otherwise)."""
-    first = dataset[0]
-    if isinstance(first, LastTokenItem):
-        if objective == "accuracy":
-            return eval_last_token(backend, dataset, k, alpha).accuracy
-        lp, targets = _last_token_dists(backend, dataset, k, alpha)
-        return float(np.mean(-lp[np.arange(len(dataset)), targets]))
-    if isinstance(first, (MCItem, LamaItem)):
-        if isinstance(first, LamaItem) and k is None:
-            raise ContractError("candidate-ranking sweeps need a k grid")
-        if objective == "accuracy":
-            if isinstance(first, MCItem):
-                return eval_multiple_choice(backend, dataset, alpha).accuracy
-            return eval_lama_style(backend, dataset, k, alpha).accuracy
-        scores = _choice_scores(backend, dataset, k, alpha)
-        return float(np.mean([_listwise_nll(s, item.gold) for item, s in zip(dataset, scores)]))
-    raise ContractError(f"cannot evaluate items of type {type(first).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +410,32 @@ def summarize_eval(
 # JSONL ingestion
 # ---------------------------------------------------------------------------
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 input file; other bytes raise ContractError
+    naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_jsonl(path: str) -> list[tuple[int, dict]]:
     """(line number, record) for every non-blank line of a JSONL file,
     except a leading {"manifest": ...} line such as ``cboost generate``
     writes."""
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not records and isinstance(rec, dict) and list(rec) == ["manifest"]:
-                continue
-            records.append((lineno, rec))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not records and isinstance(rec, dict) and list(rec) == ["manifest"]:
+            continue
+        records.append((lineno, rec))
     if not records:
         raise ContractError(f"{path}: no records")
     return records
@@ -540,3 +521,14 @@ def read_summarize_items(path: str) -> list[SummarizeItem]:
     """Schema: {"id", "article", "reference"}."""
     fields = [("id", "id"), ("article", "text"), ("reference", "text")]
     return [SummarizeItem(*values) for values in read_records(path, fields)]
+
+
+def read_task_items(task: str, path: str, backend: Backend) -> list:
+    """The items of a "lasttoken", "mc", "lama" or "summarize" task file;
+    last-token items are tokenized by the backend."""
+    if task == "lasttoken":
+        return read_last_token_items(path, backend)
+    readers = {"mc": read_mc_items, "lama": read_lama_items, "summarize": read_summarize_items}
+    if task not in readers:
+        raise ContractError(f"unknown task {task!r}")
+    return readers[task](path)

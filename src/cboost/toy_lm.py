@@ -120,6 +120,8 @@ class TrainConfig:
             raise ContractError("max_context must be in [1, 64] at desk scale")
         if self.learning_rate <= 0:
             raise ContractError("learning_rate must be positive")
+        if self.batch_size < 1 or self.steps < 0:
+            raise ContractError("batch_size must be >= 1 and steps >= 0")
         if self.l2 < 0:
             raise ContractError("l2 must be non-negative")
 

@@ -43,6 +43,8 @@ class TuneConfig:
             raise ContractError("seq_len must be >= 2 to give interior positions")
         if self.learning_rate <= 0:
             raise ContractError("learning_rate must be positive")
+        if self.tail_positions is not None and self.tail_positions < 1:
+            raise ContractError("tail_positions must be >= 1 (None uses every position)")
         if not any(
             isinstance(key, (int, str)) and key != "max" and w < 0
             for key, w in self.spec.weights.items()

@@ -570,6 +570,74 @@ class TestOtherInputFilesExit2:
         assert f"{bad}: malformed JSON" in capsys.readouterr().err
 
 
+class TestBadSettingsExit2:
+    def test_last_token_boosting_without_k(self, workspace, tmp_path, capsys):
+        # with no short expert, the report must not show alpha -3 over plain-model scores
+        _, _, model, items, _ = workspace
+        report = tmp_path / "r.json"
+        rc = main([
+            "eval", "--task", "lasttoken", "--data", str(items), "--backend", f"toy:{model}",
+            "--alpha", "-3", "--report", str(report),
+        ])
+        assert rc == 2
+        assert "needs k" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--steps", "-3")])
+    def test_train_bounds(self, workspace, tmp_path, capsys, flag, value):
+        _, corpus, _, _, _ = workspace
+        rc = main(["train", "--corpus", str(corpus), flag, value, "--out", str(tmp_path / "m.tlm")])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "m.tlm").exists()
+
+    @pytest.mark.parametrize("tail", ["0", "-5"])
+    def test_tune_tail_bound(self, workspace, tmp_path, capsys, tail):
+        _, _, model, _, _ = workspace
+        rc = main([
+            "tune", "--model", str(model), "--boost", "2:-0.5", "--steps", "1",
+            "--tail", tail, "--out", str(tmp_path / "t.tlm"),
+        ])
+        assert rc == 2
+        assert "tail_positions" in capsys.readouterr().err
+
+
+class TestNonUtf8InputExit2:
+    """An input file that is not UTF-8 exits 2 naming the file, not with a
+    UnicodeDecodeError traceback."""
+
+    @staticmethod
+    def non_utf8(path):
+        path.write_bytes(b"\xff\xfe" + "w0 w1 w2".encode("utf-16-le"))
+        return path
+
+    def test_task_file(self, workspace, tmp_path, capsys):
+        _, _, model, _, _ = workspace
+        data = self.non_utf8(tmp_path / "mc.jsonl")
+        rc = main([
+            "eval", "--task", "mc", "--data", str(data), "--backend", f"toy:{model}",
+            "--alpha", "0", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        assert f"{data}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_corpus(self, tmp_path, capsys):
+        corpus = self.non_utf8(tmp_path / "corpus.txt")
+        rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.tlm")])
+        assert rc == 2
+        assert f"{corpus}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_heldout(self, workspace, tmp_path, capsys):
+        _, _, model, _, _ = workspace
+        heldout = self.non_utf8(tmp_path / "heldout.txt")
+        rc = main([
+            "analyze", "--model", str(model), "--heldout", str(heldout),
+            "--k", "2", "--report", str(tmp_path / "a.json"),
+        ])
+        assert rc == 2
+        assert f"{heldout}: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestRemoteReplyFaults:
     def test_nan_reply_exit_3(self, workspace, tmp_path):
         from cboost.backend import Backend, BackendInfo

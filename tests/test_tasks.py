@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from cboost.boosting import score_choice
+from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist, score_choice
 from cboost.decode import GenConfig, generate
 from cboost.dist import logsumexp
 from cboost.errors import ContractError
@@ -14,6 +14,7 @@ from cboost.tasks import (
     LastTokenItem,
     MCItem,
     SummarizeItem,
+    eval_items,
     eval_lama_style,
     eval_last_token,
     eval_multiple_choice,
@@ -111,6 +112,15 @@ class TestEvalLastToken:
     def test_no_items_rejected(self, trained_backend):
         with pytest.raises(ContractError):
             eval_last_token(trained_backend, [], 1, 0.0)
+
+    @pytest.mark.parametrize("objective", ["accuracy", "nll"])
+    def test_boosting_without_k_rejected(self, trained_backend, copy_task, objective):
+        # alpha != 0 names no short expert without k; it must not score the plain model
+        items = copy_task.items[:5]
+        with pytest.raises(ContractError, match="needs k"):
+            eval_last_token(trained_backend, items, None, -0.5)
+        with pytest.raises(ContractError, match="needs k"):
+            evaluate_cell(trained_backend, items, None, -0.5, objective)
 
 
 class TestEvalMultipleChoice:
@@ -295,6 +305,130 @@ class TestEvaluateCell:
         item = LamaItem("empty", "", ("a", "b"), gold=0)
         with pytest.raises(ContractError, match="item empty: empty prompt"):
             evaluate_cell(self.word_backend(), [item], 2, -0.5, objective)
+
+
+def first_argmax(values) -> int:
+    best = 0
+    for i, v in enumerate(values):
+        if v > values[best]:
+            best = i
+    return best
+
+
+class TestCellScorerOracles:
+    """evaluate_cell and eval_items against per-item loops over
+    boosted_next_dist and score_choice, which share no code with the cell
+    scorer."""
+
+    @staticmethod
+    def last_token_oracle(backend, items, spec):
+        rows = []
+        for item in items:
+            lp = boosted_next_dist(backend, item.context, spec)
+            rows.append((int(np.argmax(lp)), float(lp[item.target])))
+        return rows
+
+    @pytest.mark.parametrize(
+        "k, alpha, spec",
+        [
+            (None, 0.0, BoostSpec(weights={MAX_CONTEXT: 1.0})),
+            (3, -0.5, BoostSpec(weights={MAX_CONTEXT: 1.0, 3: -0.5})),
+            (12, -0.5, BoostSpec(weights={MAX_CONTEXT: 0.5})),  # k = len(context)
+            (40, -0.25, BoostSpec(weights={MAX_CONTEXT: 0.75})),  # k > len(context)
+        ],
+        ids=["base", "k3", "k-equals-len", "k-beyond-len"],
+    )
+    def test_last_token(self, undertrained_params, copy_task, k, alpha, spec):
+        backend = ToyBackend(undertrained_params)
+        items = copy_task.items[:60]
+        assert all(len(item.context) == 12 for item in items)
+        oracle = self.last_token_oracle(backend, items, spec)
+        hits = [pred == item.target for item, (pred, _) in zip(items, oracle)]
+        assert evaluate_cell(backend, items, k, alpha, "accuracy") == sum(hits) / len(items)
+        nll = evaluate_cell(backend, items, k, alpha, "nll")
+        assert nll == pytest.approx(-np.mean([lp for _, lp in oracle]), rel=0, abs=1e-12)
+        records = eval_items(backend, items, k, alpha).per_item
+        assert len(records) == len(items)
+        for item, (pred, lp), hit, rec in zip(items, oracle, hits, records):
+            assert rec["id"] == item.item_id
+            assert rec["pred"] == pred
+            assert rec["target"] == item.target
+            assert rec["correct"] is hit
+            assert rec["logprob_target"] == pytest.approx(lp, rel=0, abs=1e-12)
+
+    @staticmethod
+    def choice_oracle(backend, items, contexts, answers, alpha):
+        out = []
+        for item in items:
+            full, short = contexts(item)
+            scores = [score_choice(backend, full, short, backend.encode(a), alpha) for a in answers(item)]
+            out.append((first_argmax([s.combined for s in scores]), scores))
+        return out
+
+    def check_choices(self, backend, items, k, alpha, oracle):
+        hits = [pred == item.gold for item, (pred, _) in zip(items, oracle)]
+        assert evaluate_cell(backend, items, k, alpha, "accuracy") == sum(hits) / len(items)
+        result = eval_items(backend, items, k, alpha)
+        assert result.accuracy == sum(hits) / len(items)
+        for item, (pred, scores), hit, rec in zip(items, oracle, hits, result.per_item):
+            assert rec["id"] == item.item_id
+            assert rec["pred"] == pred
+            assert rec["gold"] == item.gold
+            assert rec["correct"] is hit
+            assert rec["scores"] == [
+                {"full": s.full_logprob, "short": s.short_logprob, "combined": s.combined}
+                for s in scores
+            ]
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
+    def test_multiple_choice(self, alpha):
+        backend = TestEvaluateCell.word_backend()
+        items = [
+            MCItem("m0", "a b c", "b c", ("d", "e a", "b"), gold=1),
+            MCItem("m1", "e d", "d", ("a", "c c"), gold=0),
+            MCItem("m2", "c a e b", "e b", ("b d", "a", "e", "d"), gold=3),
+            MCItem("m3", "b b", "b", ("c", "a"), gold=1),
+        ]
+        oracle = self.choice_oracle(
+            backend, items,
+            lambda it: (backend.encode(it.full_context), backend.encode(it.premise_free_context)),
+            lambda it: it.choices, alpha,
+        )
+        # k is ignored for MC items
+        for k in (None, 1, 7):
+            self.check_choices(backend, items, k, alpha, oracle)
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_lama(self, k):
+        backend = TestEvaluateCell.word_backend()
+        items = [
+            LamaItem("l0", "a b c d", ("e", "a b"), gold=0),
+            LamaItem("l1", "d", ("c", "d e", "a"), gold=2),
+            LamaItem("l2", "e e b", ("a", "b", "c", "d"), gold=1),
+        ]
+        oracle = self.choice_oracle(
+            backend, items,
+            lambda it: (backend.encode(it.prompt), backend.encode(it.prompt)[-k:]),
+            lambda it: it.candidates, -0.5,
+        )
+        self.check_choices(backend, items, k, -0.5, oracle)
+
+    @pytest.mark.parametrize("gold, accuracy", [(0, 1.0), (1, 0.0)])
+    def test_tie_goes_to_lowest_index(self, gold, accuracy):
+        # an all-zero model scores every one-token answer alike
+        backend = ToyBackend(ToyLMParams.zeros(5, 2), WhitespaceTokenizer(["a", "b", "q"]))
+        mc = [MCItem("t", "q q", "q", ("a", "b"), gold=gold)]
+        lama = [LamaItem("t", "q q", ("a", "b"), gold=gold)]
+        for items, k in ((mc, None), (lama, 1)):
+            assert evaluate_cell(backend, items, k, -0.5, "accuracy") == accuracy
+            record = eval_items(backend, items, k, -0.5).per_item[0]
+            assert record["pred"] == 0 and record["correct"] is (gold == 0)
+
+    @pytest.mark.parametrize("k", [None, 0])
+    def test_lama_needs_k(self, k):
+        item = LamaItem("l", "a b", ("c", "d"), gold=0)
+        with pytest.raises(ContractError, match="LAMA items need k >= 1"):
+            evaluate_cell(TestEvaluateCell.word_backend(), [item], k, 0.0, "nll")
 
 
 class TestSummarize:

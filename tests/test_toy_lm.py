@@ -170,6 +170,11 @@ class TestTraining:
             grad.lag_tables, np.mean([g.lag_tables for _, g in oracle], axis=0), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("steps", -3)])
+    def test_config_bounds(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            TrainConfig(**{field: value})
+
     def test_corpus_too_short_rejected(self):
         with pytest.raises(ContractError, match="too short"):
             train_uniform_scalarization(tuple(range(8)) * 10, TrainConfig(max_context=12))

@@ -214,6 +214,12 @@ class TestCoherenceTune:
         with pytest.raises(ContractError):
             TuneConfig(spec=BOOST, learning_rate=0.0)
 
+    @pytest.mark.parametrize("tail", [0, -5])
+    def test_tail_positions_must_be_positive(self, tail):
+        # unchecked, 0 would use every position and -5 drop the first five
+        with pytest.raises(ContractError, match="tail_positions"):
+            TuneConfig(spec=BOOST, tail_positions=tail)
+
 
 class TestSampling:
     def test_shapes_and_determinism(self, trained_params):
