@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -173,21 +175,25 @@ def parse_boost_arg(arg: str, backend: Backend, sep_text: str | None) -> BoostSp
 
 
 def parse_alpha_grid(arg: str) -> list[float]:
-    """"a:b:step" inclusive range, or a comma-separated list."""
+    """"a:b:step" inclusive range, or a comma-separated list; every value
+    must be finite."""
     if ":" in arg:
         try:
             lo, hi, step = (float(x) for x in arg.split(":"))
         except ValueError as exc:
             raise ContractError(f"bad grid spec {arg!r}") from exc
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ContractError(f"bad grid spec {arg!r}")
         n = int(round((hi - lo) / step))
         values = [round(lo + i * step, 12) for i in range(n + 1)]
         return [v for v in values if v <= hi + 1e-12]
     try:
-        return [float(x) for x in arg.split(",") if x.strip()]
+        values = [float(x) for x in arg.split(",") if x.strip()]
     except ValueError as exc:
         raise ContractError(f"bad grid spec {arg!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ContractError(f"bad grid spec {arg!r}: values must be finite")
+    return values
 
 
 def parse_k_grid(arg: str) -> list[int]:
@@ -232,6 +238,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not math.isfinite(args.alpha):
+        raise ContractError(f"--alpha must be finite, got {args.alpha}")
     backend = load_backend(args.backend, vocab=args.vocab)
     items = read_task_items(args.task, args.data, backend)
     manifest = build_manifest("eval", _resolved(args), [args.data], args.backend)
@@ -390,14 +398,18 @@ def cmd_tune(args) -> int:
         tail_positions=args.tail,
         seed=args.seed,
     )
-    result = coherence_tune(params, cfg)
-    save_params(result.params, args.out)
     sidecar = vocab_sidecar_path(args.model)
-    if os.path.exists(sidecar):
-        with open(sidecar, encoding="utf-8") as src, open(
-            vocab_sidecar_path(args.out), "w", encoding="utf-8"
-        ) as dst:
-            dst.write(src.read())
+    has_vocab = os.path.exists(sidecar)
+    if has_vocab:
+        _load_vocab(sidecar)  # a bad sidecar fails before anything is written
+    result = coherence_tune(params, cfg)
+    # both files are written under temporary names and then renamed, so a
+    # failure never leaves a half-written model or vocabulary behind
+    save_params(result.params, args.out + ".tmp")
+    if has_vocab:
+        shutil.copyfile(sidecar, vocab_sidecar_path(args.out) + ".tmp")
+        os.replace(vocab_sidecar_path(args.out) + ".tmp", vocab_sidecar_path(args.out))
+    os.replace(args.out + ".tmp", args.out)
     if args.trace:
         write_kl_trace(args.trace, result.kl_trace)
     manifest = build_manifest("tune", _resolved(args), [args.model], f"toy:{args.model}")

@@ -14,7 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .backend import Backend, Tokens, as_tokens
-from .boosting import BoostSpec, boosted_next_dist
+from .boosting import BoostSpec, boosted_next_dist, boosted_next_dist_batch
 from .dist import (
     Probs,
     apply_temperature,
@@ -42,8 +42,12 @@ class GenConfig:
     def __post_init__(self):
         if self.max_new_tokens < 0:
             raise ContractError("max_new_tokens must be >= 0")
-        if self.temperature <= 0:
-            raise ContractError("temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ContractError(f"temperature must be positive and finite, got {self.temperature}")
+        if self.top_p is not None and not 0 < self.top_p <= 1:
+            raise ContractError(f"top_p must be in (0, 1], got {self.top_p}")
+        if self.top_k is not None and self.top_k < 1:
+            raise ContractError(f"top_k must be >= 1, got {self.top_k}")
         if self.mode == "beam":
             if not self.beam_width or self.beam_width < 1:
                 raise ContractError("beam mode requires beam_width >= 1")
@@ -62,19 +66,33 @@ class GenResult:
         return self.error is None
 
 
+def _step_probs(lp: np.ndarray, cfg: GenConfig) -> Probs:
+    """One log-prob row through temperature, exp and top-k/top-p truncation."""
+    probs = np.exp(apply_temperature(lp, cfg.temperature))
+    if cfg.top_k is not None:
+        probs = truncate_top_k(probs, cfg.top_k)
+    if cfg.top_p is not None:
+        probs = truncate_top_p(probs, cfg.top_p)
+    return probs
+
+
 def step_dist(backend: Backend, context: Sequence[int], cfg: GenConfig) -> Probs:
     """The per-step next-token distribution: boost, temperature, truncation."""
     if cfg.boost is not None:
         lp = boosted_next_dist(backend, context, cfg.boost)
     else:
         lp = backend.next_logprobs(context)
-    lp = apply_temperature(lp, cfg.temperature)
-    probs = np.exp(lp)
-    if cfg.top_k is not None:
-        probs = truncate_top_k(probs, cfg.top_k)
-    if cfg.top_p is not None:
-        probs = truncate_top_p(probs, cfg.top_p)
-    return probs
+    return _step_probs(lp, cfg)
+
+
+def step_dist_batch(backend: Backend, contexts: Sequence[Sequence[int]], cfg: GenConfig) -> np.ndarray:
+    """Row i is step_dist(backend, contexts[i], cfg), bit for bit, from one
+    batch call to the backend; shape (N, V)."""
+    if cfg.boost is not None:
+        lp = boosted_next_dist_batch(backend, contexts, cfg.boost)
+    else:
+        lp = backend.next_logprobs_batch(contexts)
+    return np.array([_step_probs(row, cfg) for row in lp]).reshape(lp.shape)
 
 
 def _window(context: Tokens, backend: Backend) -> Tokens:
@@ -136,15 +154,13 @@ def generate_dialog(
 
 
 def sequence_logprob(backend: Backend, prompt: Tokens, tokens: Tokens, cfg: GenConfig) -> float:
-    """Total log-probability of ``tokens`` under the per-step pipeline."""
-    total = 0.0
-    ctx = prompt
-    for tok in tokens:
-        probs = step_dist(backend, _window(ctx, backend), cfg)
-        p = probs[tok]
-        total += float(np.log(p)) if p > 0 else -np.inf
-        ctx = ctx + (tok,)
-    return total
+    """Total log-probability of ``tokens`` under the per-step pipeline,
+    added in order; every step comes from one step_dist_batch call."""
+    tokens = as_tokens(tokens)
+    contexts = [_window(prompt + tokens[:i], backend) for i in range(len(tokens))]
+    probs = step_dist_batch(backend, contexts, cfg)[np.arange(len(tokens)), list(tokens)]
+    with np.errstate(divide="ignore"):
+        return float(np.cumsum(np.log(probs))[-1]) if tokens else 0.0
 
 
 def beam_search(
@@ -152,9 +168,13 @@ def beam_search(
 ) -> GenResult:
     """Length-wise beam over summed per-step log-probs.
 
-    Ties break toward lexicographically smaller token sequences.  The
-    greedy continuation is kept as a floor candidate, so the result never
-    scores below the greedy sequence.
+    Every step scores all live beams with one step_dist_batch call.  Ties
+    break toward lexicographically smaller token sequences.  Within one
+    beam the candidates share a prefix, so ranking them by (-total, token
+    id) and keeping each beam's first ``beam_width`` is exact: any other
+    candidate has ``beam_width`` candidates of its own beam ahead of it.
+    The greedy continuation is kept as a floor candidate, so the result
+    never scores below the greedy sequence.
     """
     prompt = as_tokens(prompt)
     if not prompt:
@@ -169,21 +189,20 @@ def beam_search(
     beams: list[tuple[float, Tokens, bool]] = [(0.0, (), False)]
     try:
         for _ in range(cfg.max_new_tokens):
-            candidates: list[tuple[float, Tokens, bool]] = []
-            for total, toks, finished in beams:
-                if finished:
-                    candidates.append((total, toks, True))
-                    continue
-                probs = step_dist(backend, _window(prompt + toks, backend), step_cfg)
-                for tok in np.flatnonzero(probs > 0):
-                    tok = int(tok)
-                    candidates.append(
-                        (
-                            total + float(np.log(probs[tok])),
-                            toks + (tok,),
-                            tok in cfg.stop_tokens,
-                        )
-                    )
+            candidates = [b for b in beams if b[2]]
+            live = [b for b in beams if not b[2]]
+            probs = step_dist_batch(backend, [_window(prompt + t, backend) for _, t, _ in live], step_cfg)
+            with np.errstate(divide="ignore"):
+                totals = np.array([[total] for total, _, _ in live]) + np.log(probs)
+            # each row's w-th largest total; the tokens at or above it (every
+            # tie included) are ordered by a stable sort, so ties keep id order
+            w = min(beam_width, totals.shape[1])
+            cutoff = -np.partition(-totals, w - 1, axis=1)[:, w - 1 : w]
+            for (_, toks, _), row, above in zip(live, totals, totals >= cutoff):
+                kept = np.flatnonzero(above)
+                for tok in kept[np.argsort(-row[kept], kind="stable")][:beam_width].tolist():
+                    if row[tok] > -np.inf:
+                        candidates.append((float(row[tok]), toks + (tok,), tok in cfg.stop_tokens))
             candidates.sort(key=lambda c: (-c[0], c[1]))
             beams = candidates[:beam_width]
             if all(f for _, _, f in beams):

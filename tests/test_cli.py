@@ -67,6 +67,11 @@ class TestParsers:
         with pytest.raises(ContractError):
             parse_alpha_grid("1:0:0.1")
 
+    @pytest.mark.parametrize("arg", ["nan", "0,inf", "-inf:0:0.5", "0:1:nan"])
+    def test_alpha_grid_non_finite(self, arg):
+        with pytest.raises(ContractError, match="bad grid spec"):
+            parse_alpha_grid(arg)
+
     def test_k_grid_range_and_list(self):
         assert parse_k_grid("1..4") == [1, 2, 3, 4]
         assert parse_k_grid("2,5,9") == [2, 5, 9]
@@ -636,6 +641,95 @@ class TestNonUtf8InputExit2:
         ])
         assert rc == 2
         assert f"{heldout}: not UTF-8 text" in capsys.readouterr().err
+
+
+class TestNonFiniteFlagsExit2:
+    """A non-finite --alpha or grid value, and a generation setting outside
+    its range, exit 2 before any output file is written."""
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_eval_alpha(self, workspace, tmp_path, capsys, alpha):
+        _, _, model, _, _ = workspace
+        data = tmp_path / "mc.jsonl"
+        data.write_text(json.dumps(MC_RECORD) + "\n")
+        report = tmp_path / "r.json"
+        rc = main([
+            "eval", "--task", "mc", "--data", str(data), "--backend", f"toy:{model}",
+            f"--alpha={alpha}", "--report", str(report),
+        ])
+        assert rc == 2
+        assert "--alpha must be finite" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("grid", ["nan,0", "0,-inf", "nan:0:0.5", "-1:inf:0.5", "-1:0:nan"])
+    def test_sweep_alpha_grid(self, workspace, tmp_path, capsys, grid):
+        _, _, model, _, _ = workspace
+        data = tmp_path / "mc.jsonl"
+        data.write_text(json.dumps(MC_RECORD) + "\n")
+        report = tmp_path / "s.json"
+        rc = main([
+            "sweep", "--task", "mc", "--backend", f"toy:{model}", "--val", str(data),
+            "--test", str(data), f"--alpha-grid={grid}", "--report", str(report),
+        ])
+        assert rc == 2
+        assert f"bad grid spec {grid!r}" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--temp", "nan"], "temperature"),
+            (["--temp", "inf"], "temperature"),
+            (["--mode", "topp", "--p", "1.5"], "top_p"),
+            (["--mode", "topp", "--p", "0"], "top_p"),
+            (["--mode", "sample", "--top-k", "0"], "top_k"),
+        ],
+        ids=["temp-nan", "temp-inf", "p-above-1", "p-zero", "top-k-zero"],
+    )
+    def test_generate_settings(self, workspace, tmp_path, capsys, flags, message):
+        _, _, model, _, prompts = workspace
+        out = tmp_path / "g.jsonl"
+        rc = main([
+            "generate", "--backend", f"toy:{model}", "--prompts", str(prompts),
+            "--max-new-tokens", "4", *flags, "--out", str(out),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTuneVocabularyCheckedFirst:
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [(b"\xff\xfe[]", "not UTF-8 text"), (b"[1, 2]", "vocabulary must be a JSON list of strings")],
+        ids=["not-utf8", "not-strings"],
+    )
+    def test_bad_sidecar_writes_nothing(self, workspace, tmp_path, capsys, sidecar, message):
+        _, _, model, _, _ = workspace
+        copy = tmp_path / "m.tlm"
+        copy.write_bytes(model.read_bytes())
+        (tmp_path / "m.tlm.vocab.json").write_bytes(sidecar)
+        rc = main([
+            "tune", "--model", str(copy), "--boost", "2:-0.5", "--steps", "1",
+            "--batch", "2", "--seq-len", "4", "--out", str(tmp_path / "out.tlm"),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("out.tlm*")) == []
+
+    def test_sidecar_copied_byte_for_byte(self, workspace, tmp_path):
+        _, _, model, _, _ = workspace
+        out = tmp_path / "out.tlm"
+        rc = main([
+            "tune", "--model", str(model), "--boost", "2:-0.5", "--steps", "1",
+            "--batch", "2", "--seq-len", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(vocab_sidecar_path(str(model)), "rb") as f:
+            assert (tmp_path / "out.tlm.vocab.json").read_bytes() == f.read()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.tlm", "out.tlm.manifest.json", "out.tlm.vocab.json"
+        ]
 
 
 class TestRemoteReplyFaults:

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cboost.backend import Backend, BackendInfo
+from cboost.backend import Backend, BackendInfo, CachingBackend, as_tokens
 from cboost.boosting import MAX_CONTEXT, BoostSpec
 from cboost.decode import (
     GenConfig,
@@ -11,10 +15,12 @@ from cboost.decode import (
     generation_record,
     sequence_logprob,
     step_dist,
+    step_dist_batch,
 )
+from cboost.dist import log_softmax
 from cboost.errors import BackendError, ContractError
 from cboost.rng import named_rng
-from cboost.toy_lm import ToyBackend
+from cboost.toy_lm import ToyBackend, ToyLMParams
 
 from conftest import TableBackend
 
@@ -124,6 +130,22 @@ class TestGenConfig:
     def test_negative_budget_rejected(self):
         with pytest.raises(ContractError):
             GenConfig(max_new_tokens=-1)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_temperature_positive_and_finite(self, temperature):
+        with pytest.raises(ContractError, match="temperature"):
+            GenConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("top_p", [0.0, -0.5, 1.5, float("nan")])
+    def test_top_p_in_unit_interval(self, top_p):
+        with pytest.raises(ContractError, match="top_p"):
+            GenConfig(mode="sample", top_p=top_p)
+        GenConfig(mode="sample", top_p=1.0)
+
+    def test_top_k_at_least_one(self):
+        with pytest.raises(ContractError, match="top_k"):
+            GenConfig(mode="sample", top_k=0)
+        GenConfig(mode="sample", top_k=1)
 
 
 class TestDialog:
@@ -257,6 +279,215 @@ class TestBeam:
         a = beam_search(trained_backend, (1,), 3, cfg)
         b = beam_search(trained_backend, (1,), 3, cfg)
         assert a.tokens == b.tokens
+
+
+# ---------------------------------------------------------------------------
+# Batched beam search against the per-token oracle
+# ---------------------------------------------------------------------------
+
+def oracle_sequence_logprob(backend, prompt, tokens, cfg):
+    """The per-step loop that sequence_logprob replaced."""
+    total = 0.0
+    ctx = prompt
+    limit = backend.info().max_context
+    for tok in tokens:
+        probs = step_dist(backend, ctx[-limit:], cfg)
+        p = probs[tok]
+        total += float(np.log(p)) if p > 0 else -np.inf
+        ctx = ctx + (tok,)
+    return total
+
+
+def oracle_beam_search(backend, prompt, beam_width, cfg):
+    """The beam search that beam_search replaced: one step_dist call per
+    live beam, one candidate per nonzero token of every beam, all sorted
+    by (-total, tokens), and the greedy floor."""
+    step_cfg = replace(cfg, mode="greedy", beam_width=None)
+    limit = backend.info().max_context
+    beams = [(0.0, (), False)]
+    for _ in range(cfg.max_new_tokens):
+        candidates = []
+        for total, toks, finished in beams:
+            if finished:
+                candidates.append((total, toks, True))
+                continue
+            probs = step_dist(backend, (prompt + toks)[-limit:], step_cfg)
+            for tok in np.flatnonzero(probs > 0):
+                tok = int(tok)
+                candidates.append(
+                    (total + float(np.log(probs[tok])), toks + (tok,), tok in cfg.stop_tokens)
+                )
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam_width]
+        if all(f for _, _, f in beams):
+            break
+    best_total, best_toks, _ = beams[0]
+    greedy = generate(backend, prompt, step_cfg)
+    if oracle_sequence_logprob(backend, prompt, greedy.tokens, step_cfg) > best_total:
+        return greedy.tokens
+    return best_toks
+
+
+class DrawnBackend(Backend):
+    """One seeded draw of a next-token distribution per context.  With
+    ``grid`` every probability is a multiple of 1/8, so many tokens tie
+    exactly and most have probability zero (-inf log-probability)."""
+
+    def __init__(self, vocab_size: int, seed: int, grid: bool, max_context: int):
+        self._info = BackendInfo(vocab_size, max_context, "drawn")
+        self.seed = seed
+        self.grid = grid
+
+    def info(self) -> BackendInfo:
+        return self._info
+
+    def next_logprobs(self, context):
+        context = as_tokens(context)
+        self._check_context(context)
+        v = self._info.vocab_size
+        rng = np.random.default_rng([self.seed, len(context), *context])
+        if self.grid:
+            with np.errstate(divide="ignore"):
+                return np.log(np.bincount(rng.integers(0, v, 8), minlength=v) / 8)
+        logits = rng.normal(size=v) * 2
+        logits[rng.random(v) < 0.25] = -np.inf
+        logits[rng.integers(v)] = 0.0  # at least one live token
+        return log_softmax(logits)
+
+
+@st.composite
+def decode_cases(draw):
+    """(backend, prompt, config) on a random model with V 2 to 12: exact
+    ties, -inf entries, a sliding window, stop tokens, boosting with a
+    fixed k and alpha < 0, temperature and top-k/top-p truncation."""
+    v = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    max_context = draw(st.sampled_from([2, 3, 5, 64]))
+    kind = draw(st.sampled_from(["grid", "sparse", "toy", "cached-toy"]))
+    if kind in ("grid", "sparse"):
+        backend = DrawnBackend(v, seed, kind == "grid", max_context)
+    else:
+        rng = np.random.default_rng(seed)
+        params = ToyLMParams(rng.normal(size=v) * 2, rng.normal(size=(3, v, v)) * 2)
+        backend = ToyBackend(params, max_context=max_context)
+        if kind == "cached-toy":
+            backend = CachingBackend(backend)
+    prompt = tuple(draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=6)))
+    boost = draw(st.one_of(
+        st.none(),
+        st.builds(BoostSpec.fixed_k, st.integers(1, 3), st.sampled_from([-0.3, -1.0, -2.0])),
+    ))
+    cfg = GenConfig(
+        max_new_tokens=draw(st.integers(0, 5)),
+        temperature=draw(st.sampled_from([1.0, 1.0, 0.6, 1.7])),
+        top_p=draw(st.sampled_from([None, None, 0.5, 0.9])),
+        top_k=draw(st.one_of(st.none(), st.integers(1, v))),
+        stop_tokens=frozenset(draw(st.lists(st.integers(0, v - 1), max_size=2))),
+        boost=boost,
+    )
+    return backend, prompt, cfg
+
+
+class TestBatchedBeamOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases(), st.integers(1, 5))
+    def test_beam_equals_oracle(self, case, width):
+        backend, prompt, cfg = case
+        cfg = replace(cfg, mode="beam", beam_width=width)
+        out = beam_search(backend, prompt, width, cfg)
+        assert out.ok
+        assert out.tokens == oracle_beam_search(backend, prompt, width, cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(decode_cases(), st.data())
+    def test_step_dist_batch_rows_equal_step_dist(self, case, data):
+        backend, prompt, cfg = case
+        v = backend.info().vocab_size
+        limit = backend.info().max_context
+        contexts = data.draw(st.lists(
+            st.lists(st.integers(0, v - 1), min_size=1, max_size=limit).map(tuple),
+            min_size=0, max_size=6,
+        ))
+        rows = step_dist_batch(backend, contexts, cfg)
+        assert rows.shape == (len(contexts), v)
+        for row, ctx in zip(rows, contexts):
+            assert row.tobytes() == step_dist(backend, ctx, cfg).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(decode_cases(), st.data())
+    def test_sequence_logprob_equals_per_step_loop(self, case, data):
+        # tokens are drawn freely, so some have probability zero (-inf)
+        backend, prompt, cfg = case
+        v = backend.info().vocab_size
+        tokens = tuple(data.draw(st.lists(st.integers(0, v - 1), max_size=8)))
+        got = sequence_logprob(backend, prompt, tokens, cfg)
+        want = oracle_sequence_logprob(backend, prompt, tokens, cfg)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+    def test_cut_ranks_by_total_not_by_logprob(self):
+        # After 30 uniform steps the beam's total is about -33, whose ulp is
+        # wider than the gap between the last step's two best log-probs: both
+        # candidates then have the same total, and the lower id must win as
+        # in the oracle, although token 1 has the larger log-probability.
+        steps = 30
+        prompt = (2,)
+        p0 = 0.4
+        p1 = np.nextafter(np.nextafter(p0, 1.0), 1.0)
+        last = prompt + (0,) * steps
+        backend = TableBackend(3, {last: [p0, p1, 1.0 - p0 - p1]})
+        cfg = GenConfig(mode="beam", beam_width=1, max_new_tokens=steps + 1)
+        total = oracle_sequence_logprob(backend, prompt, (0,) * steps, GenConfig())
+        assert np.log(p0) < np.log(p1) and total + np.log(p0) == total + np.log(p1)
+        out = beam_search(backend, prompt, 1, cfg)
+        assert out.tokens == (0,) * steps + (0,)
+        assert out.tokens == oracle_beam_search(backend, prompt, 1, cfg)
+
+    def test_wide_ties_at_the_cutoff_go_to_lower_ids(self):
+        # V=64 in three probability levels: the cutoff of a width-4 beam
+        # falls inside a level of 34 tied tokens, of which only the lowest
+        # ids (2 and 3) may survive.  Token 3 then has by far the best
+        # continuation.  An unstable sort of a run this long and this mixed
+        # does not keep ids in order.
+        weights = np.ones(64)
+        weights[[13, 44]] = 3.0
+        weights[[2, 3, 5, 7, 15, 17, 19, 20, 21, 23, 24, 25, 26, 27, 28, 30, 33,
+                 37, 39, 41, 42, 43, 47, 48, 49, 51, 55, 56, 57, 58, 59, 60, 61, 62]] = 2.0
+        sure = np.full(64, 0.01 / 63)
+        sure[7] = 0.99
+        backend = TableBackend(64, {(0,): weights / weights.sum(), (0, 3): sure})
+        cfg = GenConfig(mode="beam", beam_width=4, max_new_tokens=2)
+        assert beam_search(backend, (0,), 4, cfg).tokens == (3, 7)
+        for width in (3, 4, 5, 6):
+            cfg = replace(cfg, beam_width=width)
+            out = beam_search(backend, (0,), width, cfg)
+            assert out.tokens == oracle_beam_search(backend, (0,), width, cfg)
+
+    def test_one_batch_call_per_beam_step(self, trained_backend):
+        class Counting(Backend):
+            batches = 0
+            rows = 0
+
+            def info(self):
+                return trained_backend.info()
+
+            def next_logprobs(self, context):
+                return trained_backend.next_logprobs(context)
+
+            def next_logprobs_batch(self, contexts):
+                self.batches += 1
+                self.rows += len(contexts)
+                return trained_backend.next_logprobs_batch(contexts)
+
+        n, width = 6, 3
+        spec = BoostSpec.fixed_k(2, -0.5)
+        counting = Counting()
+        cfg = GenConfig(mode="beam", beam_width=width, max_new_tokens=n, boost=spec)
+        out = beam_search(counting, (1, 2, 3), width, cfg)
+        assert len(out.tokens) == n
+        # one call per step, and one for the greedy floor's sequence_logprob
+        assert counting.batches == n + 1
+        # at most two experts per live beam per step, two per floor position
+        assert counting.rows <= 2 * width * n + 2 * n
 
 
 class TestRecord:
