@@ -16,7 +16,7 @@ import csv
 
 from cboost import ToyBackend, TrainConfig, grid_search, make_copy_source_task, train_uniform_scalarization
 from cboost.backend import CachingBackend
-from cboost.tasks import eval_last_token
+from cboost.tasks import eval_items
 
 
 def main():
@@ -50,8 +50,8 @@ def main():
     k_grid = list(range(1, args.max_context + 1))
     result = grid_search(backend, val, k_grid, alpha_grid)
 
-    base = eval_last_token(backend, test, None, 0.0).accuracy
-    boosted = eval_last_token(backend, test, result.k, result.alpha).accuracy
+    base = eval_items(backend, test, None, 0.0).accuracy
+    boosted = eval_items(backend, test, result.k, result.alpha).accuracy
     print(f"best cell: k*={result.k} alpha*={result.alpha:g} (val acc {result.score:.4f})")
     print(f"test accuracy: base {100 * base:.2f}% -> boosted {100 * boosted:.2f}% "
           f"({100 * (boosted - base):+.2f} points)")

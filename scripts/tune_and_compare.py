@@ -10,7 +10,6 @@ Run:
 """
 
 import argparse
-import csv
 
 from cboost import (
     BoostSpec,
@@ -25,6 +24,7 @@ from cboost import (
 from cboost.boosting import MAX_CONTEXT
 from cboost.decode import GenConfig, generate
 from cboost.metrics import Corpus, Document, delta
+from cboost.tuning import write_kl_trace
 
 
 def self_generated_delta(params, short_len, n_docs=8, doc_len=125, seed=123):
@@ -71,11 +71,7 @@ def main():
         print(f"{k:>4} {pre_prof[k]:>12.4f} {post_prof[k]:>12.4f}")
 
     if args.trace:
-        with open(args.trace, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "mean_kl"])
-            for i, kl in enumerate(result.kl_trace):
-                writer.writerow([i, f"{kl:.10g}"])
+        write_kl_trace(args.trace, result.kl_trace)
         print(f"trace -> {args.trace}")
 
 

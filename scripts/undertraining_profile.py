@@ -16,7 +16,7 @@ import csv
 
 from cboost import ToyBackend, TrainConfig, loss_profile, make_copy_source_task, train_uniform_scalarization
 from cboost.backend import CachingBackend
-from cboost.tasks import eval_last_token
+from cboost.tasks import eval_items
 
 
 def main():
@@ -40,9 +40,9 @@ def main():
             task.train, TrainConfig(max_context=args.max_context, steps=steps, seed=0)
         )
         backend = CachingBackend(ToyBackend(params))
-        base = eval_last_token(backend, items, None, 0.0).accuracy
+        base = eval_items(backend, items, None, 0.0).accuracy
         boosted = max(
-            eval_last_token(backend, items, k, a).accuracy
+            eval_items(backend, items, k, a).accuracy
             for k in k_grid
             for a in alpha_grid
         )

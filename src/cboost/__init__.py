@@ -53,11 +53,10 @@ from .toy_lm import (
     ToyLMParams,
     TrainConfig,
     WhitespaceTokenizer,
-    gradient,
     load_params,
     loss_profile,
     save_params,
     train_uniform_scalarization,
 )
-from .tuning import TuneConfig, TuneResult, coherence_tune, kl_to_boosted
+from .tuning import TuneConfig, TuneResult, coherence_tune
 from .analysis import BoostDerivativeReport, boost_derivative_check, pareto_profile

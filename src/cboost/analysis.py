@@ -61,12 +61,10 @@ def boost_derivative_check(
     heldout: Sequence[int],
     k: int,
     h: float = 1e-3,
-    max_context: int | None = None,
-    probes: Sequence[float] = DEFAULT_PROBES,
 ) -> BoostDerivativeReport:
     """Compare the analytic derivative of the boosted NLL at t = 0 with a
     central finite difference at step h, on held-out positions with full
-    context available.
+    context available.  The full-context expert is the model's lag depth.
 
     ``improvement_predicted`` is the sign test (derivative < 0);
     ``probe_improved`` reports whether a direct NLL probe at a small
@@ -75,7 +73,7 @@ def boost_derivative_check(
     """
     if h <= 0:
         raise ContractError("finite-difference step h must be positive")
-    m = params.lag_depth if max_context is None else max_context
+    m = params.lag_depth
     if not (1 <= k <= m):
         raise ContractError(f"k must be in [1, {m}]")
     tokens = np.asarray(heldout, dtype=np.int64)
@@ -98,7 +96,7 @@ def boost_derivative_check(
 
     fd = (nll(h) - nll(-h)) / (2.0 * h)
     probe_nll = {0.0: nll(0.0)}
-    for t in probes:
+    for t in DEFAULT_PROBES:
         probe_nll[float(t)] = nll(float(t))
     improvement = analytic < 0
     probe_improved = any(
@@ -131,13 +129,11 @@ class ParetoProfile:
         }
 
 
-def pareto_profile(
-    params: ToyLMParams, heldout: Sequence[int], max_context: int | None = None
-) -> ParetoProfile:
-    """Held-out loss at every context length plus each length's divergence
-    from the full-context expert; the raw material of the improvement
-    condition, emitted for inspection."""
-    m = params.lag_depth if max_context is None else max_context
+def pareto_profile(params: ToyLMParams, heldout: Sequence[int]) -> ParetoProfile:
+    """Held-out loss at every context length 1..lag depth plus each
+    length's divergence from the full-context expert; the raw material of
+    the improvement condition, emitted for inspection."""
+    m = params.lag_depth
     tokens = np.asarray(heldout, dtype=np.int64)
     pos = eval_positions(tokens, m)
     targets = tokens[pos]

@@ -114,19 +114,30 @@ class Backend:
         if len(context) + len(continuation) > self.info().max_context:
             raise ContractError("context + continuation exceeds max_context")
 
-    # Tokenization: ids <-> text.  Backends for raw token streams may leave
-    # these unimplemented.
+    # Tokenization: ids <-> text through ``tokenizer``, any object with
+    # encode, decode and eot_id.  Backends for raw token streams leave it
+    # None and serve token ids only.
+    tokenizer = None
+
     def encode(self, text: str) -> Tokens:
-        raise NotImplementedError
+        return self._text_tokenizer().encode(text)
 
     def decode(self, tokens: Sequence[int]) -> str:
-        raise NotImplementedError
+        return self._text_tokenizer().decode(tokens)
 
     @property
     def eot_token_id(self) -> int:
         """End-of-text token, used as a stand-in context when a harness
-        needs a non-empty conditioning sequence."""
-        raise NotImplementedError
+        needs a non-empty conditioning sequence; id 0 without a tokenizer."""
+        return 0 if self.tokenizer is None else self.tokenizer.eot_id
+
+    def _text_tokenizer(self):
+        if self.tokenizer is None:
+            raise ContractError(
+                "this backend has no tokenizer, so it takes token ids only; "
+                "for text inputs give a vocabulary file (--vocab)"
+            )
+        return self.tokenizer
 
 
 class CachingBackend(Backend):

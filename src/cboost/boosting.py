@@ -81,9 +81,9 @@ class BoostSpec:
             )
 
     @classmethod
-    def fixed_k(cls, k: int, alpha: float, max_weight: float = 1.0) -> "BoostSpec":
-        """Mixture f_max^max_weight * f_k^alpha."""
-        return cls(weights={MAX_CONTEXT: max_weight, k: alpha})
+    def fixed_k(cls, k: int, alpha: float) -> "BoostSpec":
+        """Mixture f_max * f_k^alpha."""
+        return cls(weights={MAX_CONTEXT: 1.0, k: alpha})
 
     @classmethod
     def after_separator(cls, separator: int, alpha: float) -> "BoostSpec":

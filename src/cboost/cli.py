@@ -123,8 +123,8 @@ def _load_vocab(path: str) -> WhitespaceTokenizer:
     return WhitespaceTokenizer(words)
 
 
-def load_backend(descriptor: str, cache: bool = True, vocab: str | None = None) -> Backend:
-    """Build a backend from "toy:PATH" or "remote:URL".
+def load_backend(descriptor: str, vocab: str | None = None) -> Backend:
+    """Build a cached backend from "toy:PATH" or "remote:URL".
 
     Toy backends pick up the vocabulary sidecar written at training time;
     remote backends take an explicit vocabulary file for client-side
@@ -146,7 +146,7 @@ def load_backend(descriptor: str, cache: bool = True, vocab: str | None = None) 
         )
     else:
         raise ContractError(f"unknown backend descriptor {descriptor!r}; use toy:PATH or remote:URL")
-    return CachingBackend(backend) if cache else backend
+    return CachingBackend(backend)
 
 
 def parse_boost_arg(arg: str, backend: Backend, sep_text: str | None) -> BoostSpec:
@@ -459,7 +459,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_serve(args) -> int:  # pragma: no cover - interactive
-    backend = load_backend(f"toy:{args.model}", cache=True)
+    backend = load_backend(f"toy:{args.model}")
     server = BackendServer(backend, host=args.host, port=args.port)
     print(f"serving toy backend on {server.url}")
     try:

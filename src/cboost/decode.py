@@ -61,10 +61,6 @@ class GenResult:
     tokens: Tokens                 # newly generated tokens (prompt excluded)
     error: str | None = None       # set when the backend failed mid-generation
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 def _step_probs(lp: np.ndarray, cfg: GenConfig) -> Probs:
     """One log-prob row through temperature, exp and top-k/top-p truncation."""
@@ -111,7 +107,7 @@ def generate(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenResu
     if not prompt:
         raise ContractError("prompt must be non-empty")
     if cfg.mode == "beam":
-        return beam_search(backend, prompt, cfg.beam_width, cfg)
+        return beam_search(backend, prompt, cfg)
     rng = named_rng(cfg.seed, "decode-sample")
     ctx = prompt
     out: list[int] = []
@@ -163,10 +159,9 @@ def sequence_logprob(backend: Backend, prompt: Tokens, tokens: Tokens, cfg: GenC
         return float(np.cumsum(np.log(probs))[-1]) if tokens else 0.0
 
 
-def beam_search(
-    backend: Backend, prompt: Sequence[int], beam_width: int, cfg: GenConfig | None = None
-) -> GenResult:
-    """Length-wise beam over summed per-step log-probs.
+def beam_search(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenResult:
+    """Length-wise beam of width ``cfg.beam_width`` over summed per-step
+    log-probs.
 
     Every step scores all live beams with one step_dist_batch call.  Ties
     break toward lexicographically smaller token sequences.  Within one
@@ -179,10 +174,9 @@ def beam_search(
     prompt = as_tokens(prompt)
     if not prompt:
         raise ContractError("prompt must be non-empty")
-    if beam_width < 1:
-        raise ContractError("beam_width must be >= 1")
-    if cfg is None:
-        cfg = GenConfig(mode="beam", beam_width=beam_width)
+    if cfg.mode != "beam":
+        raise ContractError("beam_search needs a beam-mode config")
+    beam_width = cfg.beam_width
     step_cfg = replace(cfg, mode="greedy", beam_width=None)
 
     # (total logprob, generated tokens, finished?)

@@ -108,16 +108,17 @@ def _exp(logprobs: np.ndarray) -> np.ndarray:
     return np.asarray([math.exp(x) for x in logprobs.tolist()])
 
 
-# ltf's default likelihood thresholds, also used by coherence_report
+# ltf's likelihood thresholds: a token is long-dependent when it is likely
+# given the full context and unlikely given the short one
 LTF_LONG_THRESH = 0.20
 LTF_SHORT_THRESH = 0.05
 
 
-def _ltf(probs, long_thresh: float, short_thresh: float) -> float:
+def _ltf(probs) -> float:
     hits = 0
     total = 0
     for p_full, p_short in probs:
-        hits += int(np.sum((p_full >= long_thresh) & (p_short < short_thresh)))
+        hits += int(np.sum((p_full >= LTF_LONG_THRESH) & (p_short < LTF_SHORT_THRESH)))
         total += len(p_full)
     if total == 0:
         raise ContractError("no scorable tokens in corpus")
@@ -138,16 +139,11 @@ def _perplexity(logprobs: list[np.ndarray]) -> float:
     return float(np.exp(np.mean(nll)))
 
 
-def ltf(
-    corpus: Corpus,
-    backend: Backend,
-    long_thresh: float = LTF_LONG_THRESH,
-    short_thresh: float = LTF_SHORT_THRESH,
-    short_len: int = 20,
-) -> float:
-    """Frequency of long-dependent tokens: likelihood >= long_thresh given
-    the full context but < short_thresh given only short_len tokens."""
-    return _ltf(_token_probs(corpus, backend, short_len), long_thresh, short_thresh)
+def ltf(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
+    """Frequency of long-dependent tokens: likelihood >= LTF_LONG_THRESH
+    given the full context but < LTF_SHORT_THRESH given only short_len
+    tokens."""
+    return _ltf(_token_probs(corpus, backend, short_len))
 
 
 def delta(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
@@ -451,7 +447,7 @@ def coherence_report(
         repetition=repetition_fraction(corpus, repetition_min_copies, repetition_max_span),
         lr={n: lr_score(corpus, n) for n in lr_ns},
         delta=_delta(probs),
-        ltf=_ltf(probs, LTF_LONG_THRESH, LTF_SHORT_THRESH),
+        ltf=_ltf(probs),
         short_len=short_len,
     )
 
@@ -459,7 +455,7 @@ def coherence_report(
 COHERENCE_COLUMNS = ["ppl", "BLEU-4", "Zipf", "rep %", "LR_50 %", "LR_100 %", "delta %", "LTF %"]
 
 
-def render_coherence_table(report: CoherenceReport, label: str = "corpus") -> str:
+def render_coherence_table(report: CoherenceReport) -> str:
     """Aligned plain-text table with one row per corpus, columns matching
     the generation-metrics layout (percent columns scaled by 100)."""
     values = [
@@ -472,7 +468,7 @@ def render_coherence_table(report: CoherenceReport, label: str = "corpus") -> st
         f"{100 * report.delta:.2f}",
         f"{100 * report.ltf:.2f}",
     ]
-    return render_one_row_table(["corpus"] + COHERENCE_COLUMNS, [label] + values)
+    return render_one_row_table(["corpus"] + COHERENCE_COLUMNS, ["corpus"] + values)
 
 
 @dataclass
@@ -514,7 +510,7 @@ def dialog_report(
 DIALOG_COLUMNS = ["NIST-2", "NIST-4", "BLEU-2", "BLEU-4", "Ent-4", "Dist-1", "Dist-2", "avg len"]
 
 
-def render_dialog_table(report: DialogReport, label: str = "system") -> str:
+def render_dialog_table(report: DialogReport) -> str:
     values = [
         f"{report.nist_2:.2f}",
         f"{report.nist_4:.2f}",
@@ -525,4 +521,4 @@ def render_dialog_table(report: DialogReport, label: str = "system") -> str:
         f"{100 * report.distinct_2:.2f}",
         f"{report.avg_len:.2f}",
     ]
-    return render_one_row_table(["system"] + DIALOG_COLUMNS, [label] + values)
+    return render_one_row_table(["system"] + DIALOG_COLUMNS, ["system"] + values)

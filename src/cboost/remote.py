@@ -65,7 +65,6 @@ class RemoteBackend(Backend):
         base_url: str,
         timeout: float = 30.0,
         auth_header: str | None = None,
-        eot_token_id: int | None = None,
         backoff_base: float = BACKOFF_BASE_SECONDS,
         session: requests.Session | None = None,
         tokenizer=None,
@@ -78,9 +77,6 @@ class RemoteBackend(Backend):
             self._headers["Authorization"] = auth_header
         self._session = session or requests.Session()
         self.tokenizer = tokenizer
-        if eot_token_id is None:
-            eot_token_id = tokenizer.eot_id if tokenizer is not None else 0
-        self._eot = int(eot_token_id)
         self._info: BackendInfo | None = None
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
@@ -165,23 +161,6 @@ class RemoteBackend(Backend):
         if total != logprob and not abs(total - logprob) <= REPLY_TOL * max(1.0, abs(logprob)):
             raise BackendError(f"server's per-token logprobs sum to {total}, not {logprob}")
         return logprob
-
-    def encode(self, text: str):
-        if self.tokenizer is None:
-            raise ContractError(
-                "this remote backend has no client-side tokenizer; "
-                "provide one (e.g. a vocabulary file) to use text inputs"
-            )
-        return self.tokenizer.encode(text)
-
-    def decode(self, tokens) -> str:
-        if self.tokenizer is None:
-            raise ContractError("this remote backend has no client-side tokenizer")
-        return self.tokenizer.decode(tokens)
-
-    @property
-    def eot_token_id(self) -> int:
-        return self._eot
 
 
 class _Handler(BaseHTTPRequestHandler):

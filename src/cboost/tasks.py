@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .backend import Backend, Tokens, truncated_context
-from .boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist_batch, score_choice
+from .boosting import BoostSpec, MCScore, boosted_next_dist_batch, score_choice
 from .decode import GenConfig, generate_dialog
 from .dist import logsumexp
 from .errors import ContractError
@@ -86,7 +86,7 @@ def _last_token_spec(k: int | None, alpha: float) -> BoostSpec:
         return BoostSpec.base_model()
     if k is None:
         raise ContractError("last-token boosting with alpha != 0 needs k")
-    return BoostSpec(weights={MAX_CONTEXT: 1.0, int(k): float(alpha)})
+    return BoostSpec.fixed_k(int(k), float(alpha))
 
 
 def _choice_scores(
@@ -221,23 +221,6 @@ def evaluate_cell(
     return float(np.mean(nll))
 
 
-def build_mc_item(
-    item_id: str,
-    premise: str,
-    premise_free_context: str,
-    choices: Sequence[str],
-    gold: int,
-    joiner: str = " ",
-) -> MCItem:
-    """Convenience constructor: the full context is the premise followed by
-    the premise-free context, so the suffix property holds by construction.
-    Task files normally carry both strings pre-rendered; this helps when
-    building items from (premise, question-pattern) pairs."""
-    premise = premise.strip()
-    full = f"{premise}{joiner}{premise_free_context}" if premise else premise_free_context
-    return MCItem(item_id, full, premise_free_context, tuple(choices), gold)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic copy-source benchmark
 # ---------------------------------------------------------------------------
@@ -256,7 +239,6 @@ def make_copy_source_task(
     copy_prob: float,
     seed: int,
     eval_len: int = 2000,
-    context_len: int | None = None,
 ) -> CopySourceTask:
     """Generate a stream where token_t = token_{t-copy_offset} with
     probability copy_prob, else uniform.
@@ -264,7 +246,7 @@ def make_copy_source_task(
     The first ``length`` tokens are the training corpus; items come from
     the continuation of the same process, at positions where the copy
     event actually fired (recorded at generation time), each with
-    ``context_len`` (default copy_offset + 2) tokens of context.  With
+    copy_offset + 2 tokens of context.  With
     copy_prob = 0 there are no copy events and every eligible position
     becomes an item (the task is pure noise).
     """
@@ -272,10 +254,7 @@ def make_copy_source_task(
         raise ContractError("copy_prob must be in [0, 1]")
     if copy_offset < 1 or vocab_size < 2:
         raise ContractError("copy_offset must be >= 1 and vocab_size >= 2")
-    if context_len is None:
-        context_len = copy_offset + 2
-    if context_len < copy_offset + 2:
-        raise ContractError("context_len must be at least copy_offset + 2")
+    context_len = copy_offset + 2
     total = length + eval_len
     rng = named_rng(seed, "copy-source-task")
     is_copy = rng.random(total) < copy_prob
@@ -355,11 +334,11 @@ class SummarizeReport:
         }
 
 
-def render_summary_table(report: SummarizeReport, label: str = "model") -> str:
+def render_summary_table(report: SummarizeReport) -> str:
     mean = report.mean_f1()
     return render_one_row_table(
         ["system", "ROUGE-1", "ROUGE-2", "ROUGE-L"],
-        [f"{label} (alpha={report.alpha:g})"]
+        [f"model (alpha={report.alpha:g})"]
         + [f"{100 * mean[key]:.3f}" for key in ("rouge1", "rouge2", "rougeL")],
     )
 

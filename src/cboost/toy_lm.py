@@ -177,11 +177,6 @@ def window_loss_and_gradient(
     return loss / n_pred, grad
 
 
-def gradient(params: ToyLMParams, window: Sequence[int]) -> ToyLMParams:
-    """Exact gradient of the window's uniform-scalarized NLL."""
-    return window_loss_and_gradient(params, window)[1]
-
-
 def train_uniform_scalarization(
     corpus: Sequence[int],
     cfg: TrainConfig,
@@ -381,16 +376,12 @@ class ToyBackend(Backend):
         tokenizer: WhitespaceTokenizer | None = None,
         max_context: int = 2**20,
         name: str = "toy",
-        eot_token_id: int | None = None,
     ):
         if tokenizer is not None and tokenizer.vocab_size != params.vocab_size:
             raise ContractError("tokenizer vocabulary does not match parameters")
         self.params = params
         self.tokenizer = tokenizer
         self._info = BackendInfo(params.vocab_size, max_context, name)
-        if eot_token_id is None:
-            eot_token_id = tokenizer.eot_id if tokenizer is not None else 0
-        self._eot = int(eot_token_id)
 
     def info(self) -> BackendInfo:
         return self._info
@@ -422,17 +413,3 @@ class ToyBackend(Backend):
                 raise ContractError("token id out of range for this backend")
             z[rows] = self.params.logits(ids[:, ::-1].T)
         return log_softmax(z)
-
-    def encode(self, text: str) -> Tokens:
-        if self.tokenizer is None:
-            raise ContractError("this backend has no tokenizer")
-        return self.tokenizer.encode(text)
-
-    def decode(self, tokens: Sequence[int]) -> str:
-        if self.tokenizer is None:
-            raise ContractError("this backend has no tokenizer")
-        return self.tokenizer.decode(tokens)
-
-    @property
-    def eot_token_id(self) -> int:
-        return self._eot

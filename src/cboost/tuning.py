@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .backend import Tokens, as_tokens
-from .boosting import BoostSpec, boosted_next_dist_batch
+from .boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist_batch
 from .errors import ContractError, NumericalGuardError
 from .rng import named_rng
 from .toy_lm import ToyBackend, ToyLMParams
@@ -45,10 +45,7 @@ class TuneConfig:
             raise ContractError("learning_rate must be positive")
         if self.tail_positions is not None and self.tail_positions < 1:
             raise ContractError("tail_positions must be >= 1 (None uses every position)")
-        if not any(
-            isinstance(key, (int, str)) and key != "max" and w < 0
-            for key, w in self.spec.weights.items()
-        ):
+        if not any(key != MAX_CONTEXT and w < 0 for key, w in self.spec.weights.items()):
             log.warning("tuning spec has no negative short-context weight")
 
 
@@ -152,21 +149,6 @@ def coherence_tune(params: ToyLMParams, cfg: TuneConfig) -> TuneResult:
         params.bias -= cfg.learning_rate * grad.bias
         params.lag_tables -= cfg.learning_rate * grad.lag_tables
     return TuneResult(params=params, kl_trace=trace)
-
-
-def kl_to_boosted(
-    params: ToyLMParams, spec: BoostSpec, sequences: Sequence[Sequence[int]]
-) -> float:
-    """Mean KL(boosted || base) over the interior positions of the given
-    sequences."""
-    contexts: list[Tokens] = []
-    for seq in sequences:
-        seq = as_tokens(seq)
-        if len(seq) < 2:
-            raise ContractError("sequences must have length >= 2")
-        contexts.extend(seq[:k] for k in range(1, len(seq)))
-    targets = boosted_next_dist_batch(ToyBackend(params), contexts, spec)
-    return kl_and_gradient(params, contexts, targets)[0]
 
 
 def write_kl_trace(path: str, trace: Sequence[float]) -> None:

@@ -3,13 +3,15 @@ fake backend for hand-computed cases."""
 
 from __future__ import annotations
 
+import json
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 
-from cboost.backend import Backend, BackendInfo, Tokens, as_tokens
-from cboost.errors import ContractError
+from cboost import cli
+from cboost.backend import Backend, BackendInfo, as_tokens
 from cboost.tasks import make_copy_source_task
 from cboost.toy_lm import (
     ToyBackend,
@@ -61,20 +63,6 @@ class TableBackend(Backend):
                     return np.log(self.table[suffix])
         return np.full(self.vocab_size, -np.log(self.vocab_size))
 
-    def encode(self, text: str) -> Tokens:
-        if self.tokenizer is None:
-            raise ContractError("no tokenizer")
-        return self.tokenizer.encode(text)
-
-    def decode(self, tokens) -> str:
-        if self.tokenizer is None:
-            raise ContractError("no tokenizer")
-        return self.tokenizer.decode(tokens)
-
-    @property
-    def eot_token_id(self) -> int:
-        return self.tokenizer.eot_id if self.tokenizer is not None else 0
-
 
 class CountingBackend(Backend):
     """Wrapper that counts calls reaching the inner backend."""
@@ -104,6 +92,46 @@ class CountingBackend(Backend):
     @property
     def eot_token_id(self):
         return self.inner.eot_token_id
+
+
+def _strict_constant(name: str) -> float:
+    # -Infinity is what a zero-probability token legitimately scores
+    if name != "-Infinity":
+        raise AssertionError(f"CLI output holds the non-JSON constant {name}")
+    return -math.inf
+
+
+def load_strict(path: str, lines: bool = False) -> list:
+    """The JSON values of a CLI output file, one per line with ``lines``,
+    read by a parser that accepts -Infinity and rejects NaN and Infinity."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    chunks = text.splitlines() if lines else [text]
+    return [json.loads(c, parse_constant=_strict_constant) for c in chunks if c.strip()]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def strict_cli_outputs():
+    """Every JSON report and generations file a CLI run writes is parsed
+    strictly as soon as it is written; yields the list of checked paths."""
+    checked: list[str] = []
+    write_report, cmd_generate = cli.write_json_report, cli.cmd_generate
+
+    def write_checked_report(path, payload):
+        write_report(path, payload)
+        load_strict(path)
+        checked.append(path)
+
+    def checked_generate(args):
+        rc = cmd_generate(args)
+        load_strict(args.out, lines=True)
+        checked.append(args.out)
+        return rc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_json_report", write_checked_report)
+        mp.setattr(cli, "cmd_generate", checked_generate)
+        yield checked
 
 
 @pytest.fixture(scope="session")

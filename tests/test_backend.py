@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cboost.backend import BackendInfo, CachingBackend, token_logprobs, truncated_context
+from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs, truncated_context
 from cboost.errors import ContractError
+from cboost.remote import RemoteBackend
 from cboost.rng import named_rng
-from cboost.toy_lm import ToyBackend, ToyLMParams
+from cboost.toy_lm import ToyBackend, ToyLMParams, WhitespaceTokenizer
 
 from conftest import CountingBackend
 from test_boosting import SparseBackend
@@ -39,6 +40,44 @@ class TestBackendInfo:
             BackendInfo(vocab_size=1, max_context=64, name="x")
         with pytest.raises(ContractError):
             BackendInfo(vocab_size=8, max_context=1, name="x")
+
+
+class BareBackend(Backend):
+    """A token-level backend that sets no tokenizer."""
+
+    def info(self):
+        return BackendInfo(4, 8, "bare")
+
+
+class TestTokenizerRule:
+    """Backend implements encode, decode and eot_token_id once, from its
+    ``tokenizer``; subclasses only store one."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            BareBackend,
+            lambda: ToyBackend(ToyLMParams.zeros(4, 1)),
+            lambda: RemoteBackend("http://127.0.0.1:1"),  # never contacted
+        ],
+        ids=["bare", "toy", "remote"],
+    )
+    def test_without_tokenizer(self, make):
+        backend = make()
+        with pytest.raises(ContractError, match="--vocab"):
+            backend.encode("a b")
+        with pytest.raises(ContractError, match="--vocab"):
+            backend.decode((0, 1))
+        assert backend.eot_token_id == 0
+
+    def test_with_tokenizer(self):
+        tok = WhitespaceTokenizer(["a", "b"])
+        backend = ToyBackend(ToyLMParams.zeros(tok.vocab_size, 1), tok)
+        assert backend.encode("a b zzz") == (2, 3, 0)
+        assert backend.decode((2, 3)) == "a b"
+        assert backend.eot_token_id == tok.eot_id == 1
+        cached = CachingBackend(backend)
+        assert (cached.encode("b"), cached.decode((3,)), cached.eot_token_id) == ((3,), "b", 1)
 
 
 class TestNextLogprobs:

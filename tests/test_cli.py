@@ -17,6 +17,8 @@ from cboost.boosting import MAX_CONTEXT, AfterSeparator
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 
+from conftest import load_strict
+
 
 def strip_timestamps(text: str) -> str:
     return re.sub(r'"timestamp":\s*"[^"]*"', '"timestamp": "X"', text)
@@ -432,6 +434,52 @@ class TestRemoteEndToEnd:
         assert [r["pred"] for r in local["per_item"]] == [
             r["pred"] for r in remote["per_item"]
         ]
+
+    def test_text_task_without_vocab_exit_2(self, workspace, tmp_path, capsys):
+        from cboost.remote import BackendServer
+
+        _, _, model, _, _ = workspace
+        data = tmp_path / "mc.jsonl"
+        data.write_text(json.dumps(MC_RECORD) + "\n")
+        with BackendServer(load_backend(f"toy:{model}")) as server:
+            rc = main([
+                "eval", "--task", "mc", "--data", str(data),
+                "--backend", f"remote:{server.url}", "--alpha", "-0.5",
+                "--report", str(tmp_path / "r.json"),
+            ])
+        assert rc == 2
+        assert "--vocab" in capsys.readouterr().err
+
+
+class TestStrictOutputs:
+    """Reports and generations files are JSON that a strict reader accepts:
+    -Infinity, the score of a zero-probability token, and no NaN or
+    Infinity.  The session fixture ``strict_cli_outputs`` checks every such
+    file the CLI writes in this suite."""
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity"])
+    def test_parser_rejects_nan_and_infinity(self, tmp_path, constant):
+        path = tmp_path / "r.json"
+        path.write_text(f'{{"score": {constant}}}')
+        with pytest.raises(AssertionError, match=constant):
+            load_strict(str(path))
+
+    def test_parser_accepts_minus_infinity(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"a": 1}\n{"logprob": -Infinity}\n')
+        assert load_strict(str(path), lines=True) == [{"a": 1}, {"logprob": float("-inf")}]
+
+    def test_report_and_generations_checked(self, workspace, tmp_path, strict_cli_outputs):
+        _, _, model, items, prompts = workspace
+        report, gen = str(tmp_path / "r.json"), str(tmp_path / "g.jsonl")
+        assert main([
+            "eval", "--task", "lasttoken", "--data", str(items), "--backend", f"toy:{model}",
+            "--alpha", "-0.5", "--k", "2", "--report", report,
+        ]) == 0
+        assert main([
+            "generate", "--backend", f"toy:{model}", "--prompts", str(prompts), "--out", gen,
+        ]) == 0
+        assert strict_cli_outputs[-2:] == [report, gen]
 
 
 MC_RECORD = {"id": "m", "full_context": "w0 w1", "premise_free_context": "w1",

@@ -57,7 +57,7 @@ class TestGenerate:
     def test_exact_length_without_stop(self, trained_backend):
         out = generate(trained_backend, (0,), GenConfig(max_new_tokens=17))
         assert len(out.tokens) == 17
-        assert out.ok
+        assert out.error is None
 
     def test_stop_token_halts(self, alternating_params):
         backend = ToyBackend(alternating_params)
@@ -201,16 +201,20 @@ class TestDialog:
 class TestBeam:
     def test_width_one_equals_greedy(self, trained_backend):
         cfg = GenConfig(mode="beam", beam_width=1, max_new_tokens=10)
-        beam = beam_search(trained_backend, (2, 3), 1, cfg)
+        beam = beam_search(trained_backend, (2, 3), cfg)
         greedy = generate(trained_backend, (2, 3), GenConfig(max_new_tokens=10))
         assert beam.tokens == greedy.tokens
+
+    def test_needs_beam_config(self, trained_backend):
+        with pytest.raises(ContractError, match="beam-mode"):
+            beam_search(trained_backend, (2, 3), GenConfig(max_new_tokens=3))
 
     def test_beam_beats_greedy_two_step(self):
         backend = TableBackend(
             2, {(0,): [0.6, 0.4], (0, 0): [0.5, 0.5], (0, 1): [0.1, 0.9]}
         )
         cfg = GenConfig(mode="beam", beam_width=2, max_new_tokens=2)
-        out = beam_search(backend, (0,), 2, cfg)
+        out = beam_search(backend, (0,), cfg)
         # exhaustive path enumeration
         paths = {
             (0, 0): 0.6 * 0.5,
@@ -234,7 +238,7 @@ class TestBeam:
             },
         )
         cfg = GenConfig(mode="beam", beam_width=2, max_new_tokens=3)
-        out = beam_search(backend, (3,), 2, cfg)
+        out = beam_search(backend, (3,), cfg)
         greedy = generate(backend, (3,), GenConfig(max_new_tokens=3))
         assert greedy.tokens == (0, 0, 0)
         step_cfg = GenConfig(max_new_tokens=3)
@@ -258,7 +262,7 @@ class TestBeam:
                     table[(0, a, b)] = rand_dist()
             backend = TableBackend(v, table)
             cfg = GenConfig(mode="beam", beam_width=2, max_new_tokens=3)
-            out = beam_search(backend, (0,), 2, cfg)
+            out = beam_search(backend, (0,), cfg)
             greedy = generate(backend, (0,), GenConfig(max_new_tokens=3))
             step_cfg = GenConfig(max_new_tokens=3)
             assert sequence_logprob(backend, (0,), out.tokens, step_cfg) >= (
@@ -270,14 +274,14 @@ class TestBeam:
         cfg = GenConfig(
             mode="beam", beam_width=2, max_new_tokens=20, stop_tokens=frozenset({0})
         )
-        out = beam_search(backend, (0,), 2, cfg)
+        out = beam_search(backend, (0,), cfg)
         assert 0 in out.tokens
         assert out.tokens.index(0) == len(out.tokens) - 1
 
     def test_determinism(self, trained_backend):
         cfg = GenConfig(mode="beam", beam_width=3, max_new_tokens=8)
-        a = beam_search(trained_backend, (1,), 3, cfg)
-        b = beam_search(trained_backend, (1,), 3, cfg)
+        a = beam_search(trained_backend, (1,), cfg)
+        b = beam_search(trained_backend, (1,), cfg)
         assert a.tokens == b.tokens
 
 
@@ -394,8 +398,8 @@ class TestBatchedBeamOracle:
     def test_beam_equals_oracle(self, case, width):
         backend, prompt, cfg = case
         cfg = replace(cfg, mode="beam", beam_width=width)
-        out = beam_search(backend, prompt, width, cfg)
-        assert out.ok
+        out = beam_search(backend, prompt, cfg)
+        assert out.error is None
         assert out.tokens == oracle_beam_search(backend, prompt, width, cfg)
 
     @settings(max_examples=150, deadline=None)
@@ -438,7 +442,7 @@ class TestBatchedBeamOracle:
         cfg = GenConfig(mode="beam", beam_width=1, max_new_tokens=steps + 1)
         total = oracle_sequence_logprob(backend, prompt, (0,) * steps, GenConfig())
         assert np.log(p0) < np.log(p1) and total + np.log(p0) == total + np.log(p1)
-        out = beam_search(backend, prompt, 1, cfg)
+        out = beam_search(backend, prompt, cfg)
         assert out.tokens == (0,) * steps + (0,)
         assert out.tokens == oracle_beam_search(backend, prompt, 1, cfg)
 
@@ -456,10 +460,10 @@ class TestBatchedBeamOracle:
         sure[7] = 0.99
         backend = TableBackend(64, {(0,): weights / weights.sum(), (0, 3): sure})
         cfg = GenConfig(mode="beam", beam_width=4, max_new_tokens=2)
-        assert beam_search(backend, (0,), 4, cfg).tokens == (3, 7)
+        assert beam_search(backend, (0,), cfg).tokens == (3, 7)
         for width in (3, 4, 5, 6):
             cfg = replace(cfg, beam_width=width)
-            out = beam_search(backend, (0,), width, cfg)
+            out = beam_search(backend, (0,), cfg)
             assert out.tokens == oracle_beam_search(backend, (0,), width, cfg)
 
     def test_one_batch_call_per_beam_step(self, trained_backend):
@@ -482,7 +486,7 @@ class TestBatchedBeamOracle:
         spec = BoostSpec.fixed_k(2, -0.5)
         counting = Counting()
         cfg = GenConfig(mode="beam", beam_width=width, max_new_tokens=n, boost=spec)
-        out = beam_search(counting, (1, 2, 3), width, cfg)
+        out = beam_search(counting, (1, 2, 3), cfg)
         assert len(out.tokens) == n
         # one call per step, and one for the greedy floor's sequence_logprob
         assert counting.batches == n + 1

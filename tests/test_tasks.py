@@ -73,8 +73,6 @@ class TestCopySourceTask:
             make_copy_source_task(8, 100, copy_offset=0, copy_prob=0.5, seed=0)
         with pytest.raises(ContractError):
             make_copy_source_task(8, 100, copy_offset=2, copy_prob=1.5, seed=0)
-        with pytest.raises(ContractError):
-            make_copy_source_task(8, 100, copy_offset=4, copy_prob=0.5, seed=0, context_len=3)
 
 
 class TestEvalLastToken:
@@ -543,18 +541,3 @@ class TestReaders:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ContractError):
             read_lama_items(str(path))
-
-
-class TestBuildMCItem:
-    def test_suffix_by_construction(self):
-        from cboost.tasks import build_mc_item
-
-        item = build_mc_item("b0", "A man drops a glass.", "What happens next?", ("it breaks", "it flies"), 0)
-        assert item.full_context.endswith(item.premise_free_context)
-        assert item.full_context == "A man drops a glass. What happens next?"
-
-    def test_empty_premise(self):
-        from cboost.tasks import build_mc_item
-
-        item = build_mc_item("b1", "", "Answer:", ("x", "y"), 1)
-        assert item.full_context == "Answer:"

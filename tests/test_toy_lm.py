@@ -16,7 +16,6 @@ from cboost.toy_lm import (
     _batch_loss_and_gradient,
     corpus_tokens,
     eval_positions,
-    gradient,
     load_params,
     loss_profile,
     save_params,
@@ -66,7 +65,7 @@ def random_coords(rng, vocab, lags, n):
 class TestGradient:
     def test_uniform_single_prediction(self):
         params = ToyLMParams.zeros(2, 1)
-        grad = gradient(params, (1, 0))  # predict token 0 after context [1]
+        grad = window_loss_and_gradient(params, (1, 0))[1]  # predict token 0 after context [1]
         assert np.allclose(grad.bias, [-0.5, 0.5], atol=1e-15)
         assert np.allclose(grad.lag_tables[0][1], [-0.5, 0.5], atol=1e-15)
         assert np.allclose(grad.lag_tables[0][0], [0.0, 0.0], atol=1e-15)
@@ -109,7 +108,7 @@ class TestGradient:
             starts = rng.integers(0, len(corpus) - 3 + 1, size=32)
             gb = ToyLMParams.zeros(4, 2)
             for s in starts:
-                g = gradient(params, tuple(arr[s : s + 3]))
+                g = window_loss_and_gradient(params, tuple(arr[s : s + 3]))[1]
                 gb.bias += g.bias / 32
                 gb.lag_tables += g.lag_tables / 32
             params.bias -= 0.1 * (gb.bias + 2 * 0.05 * params.bias)
@@ -120,7 +119,7 @@ class TestGradient:
 
     def test_short_window_rejected(self):
         with pytest.raises(ContractError):
-            gradient(ToyLMParams.zeros(2, 1), (0,))
+            window_loss_and_gradient(ToyLMParams.zeros(2, 1), (0,))
 
 
 class TestTraining:

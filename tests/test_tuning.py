@@ -15,7 +15,6 @@ from cboost.tuning import (
     TuneConfig,
     coherence_tune,
     kl_and_gradient,
-    kl_to_boosted,
     sample_sequences,
     write_kl_trace,
 )
@@ -228,32 +227,6 @@ class TestSampling:
         assert a.shape == (4, 10)
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < trained_params.vocab_size
-
-
-class TestKLToBoosted:
-    def test_no_boost_zero(self, trained_params):
-        seqs = sample_sequences(trained_params, 2, 8, named_rng(2, "k"))
-        assert kl_to_boosted(trained_params, BoostSpec.base_model(), list(seqs)) == 0.0
-
-    def test_hand_summed_two_positions(self, trained_params):
-        seq = (1, 2, 3)
-        backend = ToyBackend(trained_params)
-        total = 0.0
-        for k in (1, 2):
-            ctx = seq[:k]
-            logt = boosted_next_dist(backend, ctx, BOOST)
-            logp = backend.next_logprobs(ctx)
-            t = np.exp(logt)
-            total += float(np.sum(t * (logt - logp)))
-        assert abs(kl_to_boosted(trained_params, BOOST, [seq]) - total / 2) <= 1e-12
-
-    def test_nonnegative(self, trained_params):
-        seqs = sample_sequences(trained_params, 3, 10, named_rng(3, "k"))
-        assert kl_to_boosted(trained_params, BOOST, list(seqs)) >= 0.0
-
-    def test_short_sequence_rejected(self, trained_params):
-        with pytest.raises(ContractError):
-            kl_to_boosted(trained_params, BOOST, [(1,)])
 
 
 class TestTrace:
