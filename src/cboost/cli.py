@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import shutil
@@ -622,9 +623,28 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
         raise ContractError(f"{path}: config key {unknown[0]!r} names no flag of {command}")
 
 
+class _FirstOccurrence(logging.Filter):
+    """Passes each distinct message once: a sweep scores every item in
+    every grid cell, and an item's warning is news only the first time."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: set[str] = set()
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        message = record.getMessage()
+        first = message not in self.seen
+        self.seen.add(message)
+        return first
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    warnings_once = logging.StreamHandler(sys.stderr)
+    warnings_once.addFilter(_FirstOccurrence())
+    logger = logging.getLogger("cboost")
+    logger.addHandler(warnings_once)
     try:
         _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
@@ -641,6 +661,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(warnings_once)
 
 
 if __name__ == "__main__":

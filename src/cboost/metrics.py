@@ -255,14 +255,52 @@ def bleu(
 
 
 def self_bleu4(corpus: Corpus) -> float:
-    """Mean BLEU-4 of each document against all the others as references."""
+    """Mean BLEU-4 of each document against all the others as references,
+    equal bit for bit to ``bleu(doc, others, max_n=4)`` per document.
+
+    Each document's n-grams are counted once.  A gram's clip against the
+    other documents is its largest count in any one of them: the top count
+    over the corpus, or the runner-up for a document that holds the top
+    count itself (after a tie at the top the two are equal)."""
     if len(corpus.documents) < 2:
         raise ContractError("self-BLEU needs at least two documents")
     docs = [d.tokens for d in corpus.documents]
+    # None once a document has no clipped match at some n: it scores 0
+    log_precisions: list[list[float] | None] = [[] for _ in docs]
+    for n in range(1, 5):
+        counts = [_ngram_counts(doc, n) for doc in docs]
+        top, second = Counter(), Counter()
+        for grams in counts:
+            for g, c in grams.items():
+                if c > top[g]:
+                    second[g] = top[g]
+                    top[g] = c
+                elif c > second[g]:
+                    second[g] = c
+        for i, grams in enumerate(counts):
+            if log_precisions[i] is None:
+                continue
+            clipped = (min(c, second[g] if c == top[g] else top[g]) for g, c in grams.items())
+            matches = float(sum(clipped))
+            if matches == 0.0:
+                log_precisions[i] = None
+            else:
+                log_precisions[i].append(math.log(matches / sum(grams.values())))
+    # the reference length: the closest other document's, ties to the shorter
+    per_length = Counter(len(doc) for doc in docs)
+    ns = sorted(per_length)
+    closest = {}
+    for i, n in enumerate(ns):
+        near = [n] if per_length[n] > 1 else ns[max(i - 1, 0) : i] + ns[i + 1 : i + 2]
+        closest[n] = min((abs(m - n), m) for m in near)[1]
     scores = []
-    for i, doc in enumerate(docs):
-        refs = docs[:i] + docs[i + 1 :]
-        scores.append(bleu(doc, refs, max_n=4))
+    for doc, logs in zip(docs, log_precisions):
+        if logs is None:
+            scores.append(0.0)
+            continue
+        c, r = len(doc), closest[len(doc)]
+        bp = 1.0 if c > r else math.exp(1.0 - r / c)
+        scores.append(bp * math.exp(sum(logs) / 4))
     return float(np.mean(scores))
 
 

@@ -94,13 +94,20 @@ def _choice_scores(
 ) -> list[list[MCScore]]:
     """score_choice of every answer of every item.  An MC item pairs its
     full context with its premise-free context and ignores k; a LAMA item
-    pairs its prompt with the prompt's last k tokens."""
+    pairs its prompt with the prompt's last k tokens.  An MC item's
+    warnings are logged once per call, naming the item."""
     out = []
     for item in items:
         if isinstance(item, MCItem):
             full = backend.encode(item.full_context)
             short = backend.encode(item.premise_free_context)
-            if short and full[-len(short):] != short:
+            if not short:
+                log.warning(
+                    "item %s: empty premise-free context: substituting a single end-of-text token",
+                    item.item_id,
+                )
+                short = (backend.eot_token_id,)
+            elif full[-len(short):] != short:
                 log.warning(
                     "item %s: premise-free context is not a token suffix of the full context",
                     item.item_id,

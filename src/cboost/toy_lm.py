@@ -389,27 +389,30 @@ class ToyBackend(Backend):
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
         context = as_tokens(context)
         self._check_context(context)
-        v = self.params.vocab_size
-        if any(t < 0 or t >= v for t in context):
-            raise ContractError("token id out of range for this backend")
-        return log_softmax(self.params.logits(context[::-1]))
+        self._check_ids([context])
+        return log_softmax(self.params.logits(context[-self.params.lag_depth :][::-1]))
 
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        """One validated ``ToyLMParams.logits`` call per context length, so
-        each row is bit-identical to next_logprobs."""
-        contexts = [as_tokens(c) for c in contexts]
-        by_length: dict[int, list[int]] = {}
+        """One ``ToyLMParams.logits`` call per lag window length, on the
+        last ``lag_depth`` tokens of each context, so each row is
+        bit-identical to next_logprobs.  Only those tokens are copied;
+        the range check reads every token."""
+        contexts = list(contexts)
+        lag = self.params.lag_depth
+        by_window: dict[int, list[int]] = {}
         for i, context in enumerate(contexts):
             self._check_context(context)
-            by_length.setdefault(len(context), []).append(i)
-        v = self.params.vocab_size
-        z = np.empty((len(contexts), v))
-        for rows in by_length.values():
-            try:
-                ids = np.array([contexts[i] for i in rows], dtype=np.int64)
-            except OverflowError:
-                raise ContractError("token id out of range for this backend") from None
-            if np.any((ids < 0) | (ids >= v)):
-                raise ContractError("token id out of range for this backend")
+            by_window.setdefault(min(len(context), lag), []).append(i)
+        self._check_ids(contexts)
+        z = np.empty((len(contexts), self.params.vocab_size))
+        for rows in by_window.values():
+            ids = np.array([contexts[i][-lag:] for i in rows], dtype=np.int64)
             z[rows] = self.params.logits(ids[:, ::-1].T)
         return log_softmax(z)
+
+    def _check_ids(self, contexts: list[Sequence[int]]) -> None:
+        """Every token of every (non-empty) context, inside the lag window
+        or not, must be a vocabulary id."""
+        v = self.params.vocab_size
+        if any(min(c) < 0 or max(c) >= v for c in contexts):
+            raise ContractError("token id out of range for this backend")

@@ -102,10 +102,18 @@ def kl_and_gradient(
     logp = ToyBackend(params).next_logprobs_batch(contexts)
     logt = np.asarray(target_logprobs, dtype=np.float64)
     target = np.exp(logt)
-    total_kl = 0.0
-    for t, lt, lp in zip(target, logt, logp):
-        mask = t > 0
-        total_kl += float(np.sum(t[mask] * (lt[mask] - lp[mask])))
+    # a row's KL sums the terms of its positive targets alone; the rows of
+    # one support size form a (rows, size) array whose row sums add those
+    # terms in the same order, and cumsum adds the rows one after another
+    support = target > 0
+    sizes = support.sum(axis=1)
+    row_kl = np.empty(n)
+    for size in np.unique(sizes).tolist():
+        rows = sizes == size
+        on = support[rows]
+        terms = target[rows][on] * (logt[rows][on] - logp[rows][on])
+        row_kl[rows] = terms.reshape(len(on), size).sum(axis=1)
+    total_kl = float(np.cumsum(row_kl)[-1])
     lengths = np.array([len(c) for c in contexts])
     recent = np.zeros((min(int(lengths.max()), params.lag_depth), n), dtype=np.int64)
     for i, ctx in enumerate(contexts):
@@ -117,12 +125,8 @@ def kl_and_gradient(
 
 
 def _step_positions(seqs: np.ndarray, tail: int | None) -> list[Tokens]:
-    contexts = []
     ks = _interior_positions(seqs.shape[1], tail)
-    for row in seqs:
-        for k in ks:
-            contexts.append(tuple(int(x) for x in row[:k]))
-    return contexts
+    return [tuple(row[:k]) for row in seqs.tolist() for k in ks]
 
 
 def coherence_tune(params: ToyLMParams, cfg: TuneConfig) -> TuneResult:

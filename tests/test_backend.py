@@ -334,10 +334,30 @@ class TestToyBackendBatch:
         for row, ctx in zip(out, contexts):
             assert np.array_equal(row, backend.next_logprobs(ctx))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 200), min_size=1, max_size=10),
+    )
+    def test_rows_equal_per_item_up_to_200_tokens(self, seed, lags, lengths):
+        # contexts far past the lag depth share a lag window length group;
+        # tuples, lists and integer arrays are all token sequences
+        rng = named_rng(seed, "batch-long")
+        backend = ToyBackend(ToyLMParams(rng.normal(size=6), rng.normal(size=(lags, 6, 6))))
+        contexts = [tuple(int(t) for t in rng.integers(0, 6, n)) for n in lengths]
+        kinds = [tuple, list, np.array]
+        out = backend.next_logprobs_batch([kinds[i % 3](c) for i, c in enumerate(contexts)])
+        for row, ctx in zip(out, contexts):
+            assert np.array_equal(row, backend.next_logprobs(ctx))
+
     @pytest.mark.parametrize(
         "bad",
-        [(), tuple([0] * 9), (0, 99), (-1, 2)],
-        ids=["empty", "too-long", "id-too-large", "id-negative"],
+        [(), tuple([0] * 9), (0, 99), (-1, 2), (99, 0, 1, 2), (-1, 0, 1, 2)],
+        ids=[
+            "empty", "too-long", "id-too-large", "id-negative",
+            "id-too-large-past-lag", "id-negative-past-lag",
+        ],
     )
     def test_per_item_contract_errors(self, bad):
         backend = ToyBackend(ToyLMParams.zeros(4, 2), max_context=8)

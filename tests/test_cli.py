@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -822,3 +824,39 @@ class TestTrainReachesLowLoss:
         heldout = tok.encode(" ".join(["a b"] * 400))
         prof = loss_profile(params, heldout, 2)
         assert prof[1] < 0.01
+
+
+class TestItemWarningsOncePerRun:
+    """A sweep scores every item in every grid cell; each item's warning
+    reaches stderr once per run, naming the item."""
+
+    def test_sweep_mc_stderr_lines(self, workspace, tmp_path):
+        _, _, model, _, _ = workspace
+        data = tmp_path / "mc.jsonl"
+        with open(data, "w", encoding="utf-8") as f:
+            for i in range(8):
+                premise_free = "" if i < 3 else ("w0" if i == 3 else "w1")
+                record = {**MC_RECORD, "id": f"m{i}", "premise_free_context": premise_free}
+                f.write(json.dumps(record) + "\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "cboost.cli", "sweep", "--task", "mc",
+                "--backend", f"toy:{model}", "--val", str(data), "--test", str(data),
+                "--alpha-grid=-1:0:0.5", "--report", str(tmp_path / "s.json"),
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        lines = run.stderr.splitlines()
+        empty = [line for line in lines if "empty premise-free context" in line]
+        assert sorted(empty) == [
+            f"item m{i}: empty premise-free context: substituting a single end-of-text token"
+            for i in range(3)
+        ]
+        assert lines.count(
+            "item m3: premise-free context is not a token suffix of the full context"
+        ) == 1
+        assert len(lines) == 4

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cboost.errors import ContractError
 from cboost.metrics import (
@@ -232,6 +234,20 @@ class TestSelfBleu:
     def test_needs_two_docs(self):
         with pytest.raises(ContractError):
             self_bleu4(corpus_of((1, 2, 3, 4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12), min_size=2, max_size=7),
+        st.lists(st.integers(0, 6), max_size=3),
+    )
+    def test_equals_mean_bleu_against_the_others(self, docs, copies):
+        # a four-letter alphabet repeats grams within and across documents;
+        # copied documents tie at the top count, and documents shorter
+        # than four tokens have no 4-grams
+        docs = [tuple(d) for d in docs] + [tuple(docs[i % len(docs)]) for i in copies]
+        others = [docs[:i] + docs[i + 1 :] for i in range(len(docs))]
+        oracle = float(np.mean([bleu(d, refs, max_n=4) for d, refs in zip(docs, others)]))
+        assert self_bleu4(corpus_of(*docs)) == oracle
 
 
 def nist_mteval_oracle(candidates, multi_refs, max_n):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cboost import tuning
 from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist
 from cboost.dist import log_softmax
 from cboost.errors import ContractError, NumericalGuardError
@@ -173,6 +174,29 @@ class TestGradient:
         assert np.array_equal(grad.bias, ref_grad.bias)
         assert np.array_equal(grad.lag_tables, ref_grad.lag_tables)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.sampled_from([7, 8, 9, 17, 130, 300]),
+        st.integers(1, 24),
+        st.floats(0.0, 0.6),
+    )
+    def test_kl_bit_identical_on_wide_rows(self, seed, vocab, n, zero_frac):
+        # rows past 8 and 128 entries take numpy's pairwise summation, and
+        # rows with zero targets have supports of many sizes, the empty one
+        # included
+        rng = named_rng(seed, "kl-wide")
+        params = ToyLMParams(rng.normal(size=vocab), rng.normal(size=(2, vocab, vocab)))
+        contexts = [tuple(int(t) for t in rng.integers(0, vocab, 3)) for _ in range(n)]
+        logits = rng.normal(size=(n, vocab)) * 3.0
+        logits[rng.random(logits.shape) < zero_frac] = -np.inf
+        logits[:, 0] = 0.0
+        targets = list(log_softmax(logits))
+        targets[0] = np.full(vocab, -np.inf)
+        kl, _ = kl_and_gradient(params, contexts, targets)
+        ref_kl, _ = per_context_kl_and_gradient(params, contexts, targets)
+        assert kl == ref_kl
+
     def test_input_validation(self, trained_params):
         with pytest.raises(ContractError):
             kl_and_gradient(trained_params, [], [])
@@ -188,6 +212,21 @@ class TestCoherenceTune:
         assert np.array_equal(a.params.bias, b.params.bias)
         assert np.array_equal(a.params.lag_tables, b.params.lag_tables)
         assert a.kl_trace == b.kl_trace
+
+    def test_trace_bit_identical_to_per_context_loop(self, trained_params, monkeypatch):
+        cfg = TuneConfig(spec=BOOST, steps=3, batch=4, seq_len=10, seed=7)
+        fast = coherence_tune(trained_params, cfg)
+        monkeypatch.setattr(tuning, "kl_and_gradient", per_context_kl_and_gradient)
+        slow = coherence_tune(trained_params, cfg)
+        assert fast.kl_trace == slow.kl_trace
+        assert np.array_equal(fast.params.lag_tables, slow.params.lag_tables)
+
+    def test_step_positions_are_int_prefixes(self):
+        seqs = np.array([[3, 1, 4, 1], [5, 9, 2, 6]], dtype=np.int64)
+        contexts = tuning._step_positions(seqs, None)
+        assert contexts == [(3,), (3, 1), (3, 1, 4), (5,), (5, 9), (5, 9, 2)]
+        assert all(type(t) is int for c in contexts for t in c)
+        assert tuning._step_positions(seqs, 1) == [(3, 1, 4), (5, 9, 2)]
 
     def test_divergence_guard_trips(self, copy_task):
         weak = train_uniform_scalarization(copy_task.train, TrainConfig())
