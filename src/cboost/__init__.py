@@ -31,7 +31,7 @@ from .dist import (
     truncate_top_k,
     truncate_top_p,
 )
-from .errors import BackendError, ContractError, NumericalGuardError, SupportMismatchError
+from .errors import BackendError, ContractError, NumericalGuardError
 from .remote import BackendServer, RemoteBackend
 from .tasks import (
     CopySourceTask,

@@ -12,22 +12,14 @@ penalizes tokens that are already predictable from the short context.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
 from .backend import Backend, Tokens, as_tokens
-from .dist import (
-    DEFAULT_LOG_FLOOR,
-    LogProbs,
-    log_linear_mix,
-    uniform_logprobs,
-)
+from .dist import LogProbs, log_linear_mix, uniform_logprobs
 from .errors import ContractError
-
-log = logging.getLogger(__name__)
 
 MAX_CONTEXT = "max"  # sentinel weight key: the full-context expert
 
@@ -143,12 +135,7 @@ def _resolve(context: Tokens, spec: BoostSpec) -> list[tuple[Tokens, float]]:
     return experts
 
 
-def boosted_next_dist(
-    backend: Backend,
-    context: Sequence[int],
-    spec: BoostSpec,
-    log_floor: float | None = DEFAULT_LOG_FLOOR,
-) -> LogProbs:
+def boosted_next_dist(backend: Backend, context: Sequence[int], spec: BoostSpec) -> LogProbs:
     """Next-token log-probabilities under the boosted mixture.
 
     With all weight on a single expert at exponent 1 this is exactly that
@@ -159,14 +146,11 @@ def boosted_next_dist(
     if not experts:
         return uniform_logprobs(backend.info().vocab_size)
     logprob_vecs = [backend.next_logprobs(ctx) for ctx, _ in experts]
-    return log_linear_mix(logprob_vecs, [w for _, w in experts], log_floor=log_floor)
+    return log_linear_mix(logprob_vecs, [w for _, w in experts])
 
 
 def boosted_next_dist_batch(
-    backend: Backend,
-    contexts: Sequence[Sequence[int]],
-    spec: BoostSpec,
-    log_floor: float | None = DEFAULT_LOG_FLOOR,
+    backend: Backend, contexts: Sequence[Sequence[int]], spec: BoostSpec
 ) -> np.ndarray:
     """Row i is boosted_next_dist(backend, contexts[i], spec), bit for bit.
 
@@ -193,7 +177,7 @@ def boosted_next_dist_batch(
             continue
         first = np.asarray([starts[i] for i in rows])
         experts = [vecs[first + e] for e in range(len(weights))]
-        out[rows] = log_linear_mix(experts, weights, log_floor=log_floor)
+        out[rows] = log_linear_mix(experts, weights)
     return out
 
 
@@ -219,19 +203,14 @@ def score_choice(
     log-likelihoods, combined as full + alpha * short.
 
     alpha = 0 reproduces base-model ranking; alpha = -1 ranks by the
-    pointwise mutual information between the premise and the answer.  An
-    empty premise-free context is replaced by a single end-of-text token
-    (autoregressive backends need at least one conditioning token).
+    pointwise mutual information between the premise and the answer.
+    Both contexts must be non-empty, as the backend requires; the task
+    harness substitutes an end-of-text token for an empty premise-free
+    context before it calls this.
     """
     answer = as_tokens(answer)
     if not answer:
         raise ContractError("answer must be non-empty")
-    premise_free_ctx = as_tokens(premise_free_ctx)
-    if not premise_free_ctx:
-        log.warning(
-            "empty premise-free context: substituting a single end-of-text token"
-        )
-        premise_free_ctx = (backend.eot_token_id,)
     full = backend.score_continuation(full_ctx, answer)
     short = backend.score_continuation(premise_free_ctx, answer)
     # alpha == 0 must reproduce the base path bit-for-bit (and never touch

@@ -331,9 +331,10 @@ def cmd_generate(args) -> int:
             prompt_tokens = backend.encode(prompt)
             if not prompt_tokens:
                 raise ContractError(f"prompt {prompt_id} tokenizes to nothing")
-            result = generate(backend, prompt_tokens, cfg)
-            if result.error is not None:
-                raise BackendError(f"generation failed for {prompt_id}: {result.error}")
+            try:
+                result = generate(backend, prompt_tokens, cfg)
+            except BackendError as exc:
+                raise BackendError(f"generation failed for {prompt_id}: {exc}") from exc
             record = generation_record(
                 prompt_id, prompt_tokens, result, backend.decode(result.tokens), chash
             )

@@ -23,7 +23,7 @@ from .dist import (
     truncate_top_k,
     truncate_top_p,
 )
-from .errors import BackendError, ContractError
+from .errors import ContractError
 from .rng import named_rng
 
 
@@ -59,7 +59,9 @@ class GenConfig:
 @dataclass
 class GenResult:
     tokens: Tokens                 # newly generated tokens (prompt excluded)
-    error: str | None = None       # set when the backend failed mid-generation
+    # Always None: a backend failure raises BackendError instead.  Kept
+    # because the benchmark (bench/workloads.py) checks it on every output.
+    error: str | None = None
 
 
 def _step_probs(lp: np.ndarray, cfg: GenConfig) -> Probs:
@@ -100,8 +102,8 @@ def _window(context: Tokens, backend: Backend) -> Tokens:
 def generate(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenResult:
     """Append tokens until a stop token or max_new_tokens.
 
-    Deterministic given cfg.seed.  A backend failure mid-generation returns
-    the partial output with the error recorded instead of raising.
+    Deterministic given cfg.seed.  A backend failure raises BackendError
+    from the failing call, in every mode; no partial output is returned.
     """
     prompt = as_tokens(prompt)
     if not prompt:
@@ -112,10 +114,7 @@ def generate(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenResu
     ctx = prompt
     out: list[int] = []
     for _ in range(cfg.max_new_tokens):
-        try:
-            probs = step_dist(backend, _window(ctx, backend), cfg)
-        except BackendError as exc:
-            return GenResult(tuple(out), error=str(exc))
+        probs = step_dist(backend, _window(ctx, backend), cfg)
         tok = argmax_token(probs) if cfg.mode == "greedy" else sample(probs, rng)
         out.append(tok)
         ctx = ctx + (tok,)
@@ -169,7 +168,8 @@ def beam_search(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenR
     id) and keeping each beam's first ``beam_width`` is exact: any other
     candidate has ``beam_width`` candidates of its own beam ahead of it.
     The greedy continuation is kept as a floor candidate, so the result
-    never scores below the greedy sequence.
+    never scores below the greedy sequence.  A backend failure raises
+    BackendError, inside the floor too.
     """
     prompt = as_tokens(prompt)
     if not prompt:
@@ -181,35 +181,30 @@ def beam_search(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenR
 
     # (total logprob, generated tokens, finished?)
     beams: list[tuple[float, Tokens, bool]] = [(0.0, (), False)]
-    try:
-        for _ in range(cfg.max_new_tokens):
-            candidates = [b for b in beams if b[2]]
-            live = [b for b in beams if not b[2]]
-            probs = step_dist_batch(backend, [_window(prompt + t, backend) for _, t, _ in live], step_cfg)
-            with np.errstate(divide="ignore"):
-                totals = np.array([[total] for total, _, _ in live]) + np.log(probs)
-            # each row's w-th largest total; the tokens at or above it (every
-            # tie included) are ordered by a stable sort, so ties keep id order
-            w = min(beam_width, totals.shape[1])
-            cutoff = -np.partition(-totals, w - 1, axis=1)[:, w - 1 : w]
-            for (_, toks, _), row, above in zip(live, totals, totals >= cutoff):
-                kept = np.flatnonzero(above)
-                for tok in kept[np.argsort(-row[kept], kind="stable")][:beam_width].tolist():
-                    if row[tok] > -np.inf:
-                        candidates.append((float(row[tok]), toks + (tok,), tok in cfg.stop_tokens))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            beams = candidates[:beam_width]
-            if all(f for _, _, f in beams):
-                break
+    for _ in range(cfg.max_new_tokens):
+        candidates = [b for b in beams if b[2]]
+        live = [b for b in beams if not b[2]]
+        probs = step_dist_batch(backend, [_window(prompt + t, backend) for _, t, _ in live], step_cfg)
+        with np.errstate(divide="ignore"):
+            totals = np.array([[total] for total, _, _ in live]) + np.log(probs)
+        # each row's w-th largest total; the tokens at or above it (every
+        # tie included) are ordered by a stable sort, so ties keep id order
+        w = min(beam_width, totals.shape[1])
+        cutoff = -np.partition(-totals, w - 1, axis=1)[:, w - 1 : w]
+        for (_, toks, _), row, above in zip(live, totals, totals >= cutoff):
+            kept = np.flatnonzero(above)
+            for tok in kept[np.argsort(-row[kept], kind="stable")][:beam_width].tolist():
+                if row[tok] > -np.inf:
+                    candidates.append((float(row[tok]), toks + (tok,), tok in cfg.stop_tokens))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam_width]
+        if all(f for _, _, f in beams):
+            break
 
-        best_total, best_toks, _ = beams[0]
-        greedy = generate(backend, prompt, step_cfg)
-        if greedy.error is None:
-            greedy_total = sequence_logprob(backend, prompt, greedy.tokens, step_cfg)
-            if greedy_total > best_total:
-                best_toks = greedy.tokens
-    except BackendError as exc:
-        return GenResult((), error=str(exc))
+    best_total, best_toks, _ = beams[0]
+    greedy = generate(backend, prompt, step_cfg).tokens
+    if sequence_logprob(backend, prompt, greedy, step_cfg) > best_total:
+        best_toks = greedy
     return GenResult(best_toks)
 
 
@@ -221,13 +216,10 @@ def generation_record(
     config_hash: str,
 ) -> dict:
     """One JSONL generation record."""
-    rec = {
+    return {
         "id": record_id,
         "prompt_tokens": list(prompt_tokens),
         "output_tokens": list(result.tokens),
         "text": text,
         "config_hash": config_hash,
     }
-    if result.error is not None:
-        rec["error"] = result.error
-    return rec

@@ -10,6 +10,10 @@ both shapes.  Two conventions are used throughout:
   zero-probability tokens; NaN is never allowed.
 * ``Probs`` — non-negative entries summing to 1 (within 1e-9).
 
+``log_linear_mix`` has one zero-probability rule: a token is zero when a
+positively weighted expert gives it zero, and a negatively weighted
+expert is clamped from below at ``LOG_FLOOR``.
+
 Everything here is pure and reentrant; arrays are never mutated in place.
 """
 
@@ -20,15 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, SupportMismatchError
+from .errors import ContractError
 
 LogProbs = np.ndarray
 Probs = np.ndarray
 
-# Default log-probability floor applied to negatively-weighted experts in
+# Log-probability floor applied to negatively-weighted experts in
 # log_linear_mix.  Remote backends may return truncated/quantized logprobs
 # with hard zeros; the floor keeps negative powers finite and tunable.
-DEFAULT_LOG_FLOOR = float(np.log(1e-10))
+LOG_FLOOR = float(np.log(1e-10))
 
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:
@@ -80,19 +84,14 @@ def log_softmax(logits: Sequence[float] | np.ndarray) -> LogProbs:
     return out
 
 
-def log_linear_mix(
-    experts: Sequence[LogProbs],
-    weights: Sequence[float],
-    log_floor: float | None = DEFAULT_LOG_FLOOR,
-) -> LogProbs:
+def log_linear_mix(experts: Sequence[LogProbs], weights: Sequence[float]) -> LogProbs:
     """Weighted product of experts, renormalized, in log space.
 
     The result is proportional to prod_i expert_i ** weight_i.  Tokens with
     probability zero under a positively-weighted expert keep probability
     zero.  Zero probability under a *negatively*-weighted expert would blow
     up to +inf; instead that expert's log-probs are clamped from below at
-    ``log_floor``.  Pass ``log_floor=None`` to disable the clamp, in which
-    case such tokens raise SupportMismatchError.
+    ``LOG_FLOOR``.
 
     Zero-weight experts are dropped exactly, and a single expert with
     weight exactly 1.0 is returned unchanged (bit-identical).  Experts may
@@ -118,22 +117,12 @@ def log_linear_mix(
         return active[0][0].copy()
 
     forced_zero = np.zeros(shape, dtype=bool)
+    total = np.zeros(shape)
     for e, w in active:
         if w > 0:
             forced_zero |= e == -np.inf
-
-    total = np.zeros(shape)
-    for e, w in active:
-        if w < 0:
-            neg_inf = e == -np.inf
-            if log_floor is not None:
-                e = np.maximum(e, log_floor)
-            elif np.any(neg_inf):
-                if np.any(neg_inf & ~forced_zero):
-                    raise SupportMismatchError("support mismatch")
-                # zero under a positive expert too: that expert already
-                # forces the token to 0, so the negative term is moot
-                e = np.where(neg_inf, 0.0, e)
+        else:
+            e = np.maximum(e, LOG_FLOOR)
         total = total + w * e
     total[forced_zero] = -np.inf
     return log_softmax(total)

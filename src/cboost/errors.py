@@ -9,11 +9,6 @@ class ContractError(ValueError):
     """An input violated a documented precondition (bad data, bad flags)."""
 
 
-class SupportMismatchError(ContractError):
-    """A token has zero probability under a negatively-weighted expert and
-    no probability floor is in force."""
-
-
 class BackendError(RuntimeError):
     """A language-model backend failed (network, protocol, server error)."""
 

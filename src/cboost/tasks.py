@@ -20,7 +20,7 @@ from .backend import Backend, Tokens, truncated_context
 from .boosting import BoostSpec, MCScore, boosted_next_dist_batch, score_choice
 from .decode import GenConfig, generate_dialog
 from .dist import logsumexp
-from .errors import ContractError
+from .errors import BackendError, ContractError
 from .metrics import RougeScore, render_one_row_table, rouge
 from .rng import named_rng
 
@@ -94,8 +94,10 @@ def _choice_scores(
 ) -> list[list[MCScore]]:
     """score_choice of every answer of every item.  An MC item pairs its
     full context with its premise-free context and ignores k; a LAMA item
-    pairs its prompt with the prompt's last k tokens.  An MC item's
-    warnings are logged once per call, naming the item."""
+    pairs its prompt with the prompt's last k tokens.  An empty
+    premise-free context becomes one end-of-text token here, the only
+    place that substitutes it.  An MC item's warnings are logged once per
+    call, naming the item."""
     out = []
     for item in items:
         if isinstance(item, MCItem):
@@ -374,7 +376,10 @@ def summarize_eval(
         conversation = backend.encode(item.article) + sep_tokens[:-1]
         if not conversation:
             raise ContractError(f"item {item.item_id}: empty article")
-        result = generate_dialog(backend, conversation, sep_tokens[-1], alpha, cfg)
+        try:
+            result = generate_dialog(backend, conversation, sep_tokens[-1], alpha, cfg)
+        except BackendError as exc:
+            raise BackendError(f"generation failed for item {item.item_id}: {exc}") from exc
         kept = [t for t in result.tokens if t not in cfg.stop_tokens]
         text = backend.decode(kept)
         summary = " ".join(split_sentences(text)[:sentence_count])

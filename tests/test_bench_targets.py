@@ -4,7 +4,8 @@ The tier-1 suite never runs ``bench/``, so a deleted or renamed name would
 break ``bench/run.py --trace 1`` without any test failing.  Each target of
 ``workloads.layer_targets()`` is resolved the way ``bench/spans.py``
 resolves it: a method must be defined on the class itself, a module
-attribute must be callable.
+attribute must be callable.  The attributes the workloads read without
+tracing them are pinned too.
 """
 
 import importlib
@@ -26,3 +27,13 @@ def test_every_layer_target_resolves(monkeypatch):
         )
     ]
     assert targets and missing == []
+
+
+def test_untraced_attributes_the_workloads_read():
+    from cboost.backend import CachingBackend
+    from cboost.decode import GenResult
+    from cboost.toy_lm import ToyBackend, ToyLMParams
+
+    result = GenResult((1, 2))
+    assert result.tokens == (1, 2) and result.error is None
+    assert CachingBackend(ToyBackend(ToyLMParams.zeros(3, 1))).hits == 0

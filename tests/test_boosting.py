@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +15,8 @@ from cboost.boosting import (
     resolve_expert_contexts,
     score_choice,
 )
-from cboost.dist import DEFAULT_LOG_FLOOR, log_linear_mix, log_softmax
-from cboost.errors import ContractError, SupportMismatchError
+from cboost.dist import log_linear_mix, log_softmax
+from cboost.errors import ContractError
 from cboost.rng import named_rng
 from cboost.tasks import eval_last_token
 from cboost.toy_lm import ToyBackend, ToyLMParams
@@ -154,14 +152,10 @@ class TestScoreChoice:
         s = score_choice(trained_backend, (1, 2), (2,), (3,), -0.4)
         assert s.combined == s.full_logprob + (-0.4) * s.short_logprob
 
-    def test_empty_premise_free_substitutes_eot(self, trained_backend, caplog):
-        with caplog.at_level(logging.WARNING):
-            s = score_choice(trained_backend, (1, 2), (), (3,), -1.0)
-        assert "end-of-text" in caplog.text
-        expected_short = trained_backend.score_continuation(
-            (trained_backend.eot_token_id,), (3,)
-        )
-        assert s.short_logprob == expected_short
+    def test_empty_premise_free_context_rejected(self, trained_backend):
+        # the task harness substitutes the end-of-text token, not score_choice
+        with pytest.raises(ContractError, match="non-empty"):
+            score_choice(trained_backend, (1, 2), (), (3,), -1.0)
 
     def test_empty_answer_rejected(self, trained_backend):
         with pytest.raises(ContractError):
@@ -270,7 +264,7 @@ WEIGHTS = st.sampled_from([0.0, 1.0, -1.0, -0.5, 0.25, 1.5, -2.0])
 
 @st.composite
 def batch_cases(draw):
-    """(vocab, seed, contexts of mixed lengths, spec, log floor).  The
+    """(vocab, seed, contexts of mixed lengths, spec).  The
     short lengths reach past the longest context, so k >= len(context)
     collapses occur, and every weight may be zero or negative."""
     v = draw(st.integers(2, 6))
@@ -285,8 +279,7 @@ def batch_cases(draw):
     ks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True))
     weights = {MAX_CONTEXT: draw(WEIGHTS), **{k: draw(WEIGHTS) for k in ks}}
     spec = BoostSpec(weights=weights, max_entries=3)
-    log_floor = draw(st.sampled_from([DEFAULT_LOG_FLOOR, -3.0, None]))
-    return v, seed, contexts, spec, log_floor
+    return v, seed, contexts, spec
 
 
 def _outcome(fn):
@@ -298,18 +291,18 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _assert_batch_matches_per_item(backend, contexts, spec, log_floor):
+def _assert_batch_matches_per_item(backend, contexts, spec):
     per_row = []
     for ctx in contexts:
-        single = _outcome(lambda: boosted_next_dist(backend, ctx, spec, log_floor))
-        batched = _outcome(lambda: boosted_next_dist_batch(backend, [ctx], spec, log_floor))
+        single = _outcome(lambda: boosted_next_dist(backend, ctx, spec))
+        batched = _outcome(lambda: boosted_next_dist_batch(backend, [ctx], spec))
         if isinstance(single, tuple):
             assert batched == single
         else:
             assert batched.shape == (1, single.size)
             assert np.array_equal(batched[0], single)
         per_row.append(single)
-    whole = _outcome(lambda: boosted_next_dist_batch(backend, contexts, spec, log_floor))
+    whole = _outcome(lambda: boosted_next_dist_batch(backend, contexts, spec))
     if any(isinstance(row, tuple) for row in per_row):
         # some row fails: the batch fails too (with the error of whichever
         # failing row's group it mixes first)
@@ -322,19 +315,17 @@ class TestBoostedNextDistBatch:
     @settings(max_examples=150, deadline=None)
     @given(batch_cases())
     def test_equals_stacked_per_item_on_toy_models(self, case):
-        v, seed, contexts, spec, log_floor = case
+        v, seed, contexts, spec = case
         rng = np.random.default_rng(seed)
         params = ToyLMParams(rng.normal(size=v) * 2, rng.normal(size=(3, v, v)) * 2)
-        _assert_batch_matches_per_item(ToyBackend(params), contexts, spec, log_floor)
-        _assert_batch_matches_per_item(
-            CachingBackend(ToyBackend(params)), contexts, spec, log_floor
-        )
+        _assert_batch_matches_per_item(ToyBackend(params), contexts, spec)
+        _assert_batch_matches_per_item(CachingBackend(ToyBackend(params)), contexts, spec)
 
     @settings(max_examples=150, deadline=None)
     @given(batch_cases())
     def test_equals_stacked_per_item_with_zero_probabilities(self, case):
-        v, seed, contexts, spec, log_floor = case
-        _assert_batch_matches_per_item(SparseBackend(v, seed), contexts, spec, log_floor)
+        v, seed, contexts, spec = case
+        _assert_batch_matches_per_item(SparseBackend(v, seed), contexts, spec)
 
     def test_all_zero_weights_uniform(self, trained_backend):
         spec = BoostSpec(weights={MAX_CONTEXT: 0.0, 3: 0.0})
@@ -349,16 +340,6 @@ class TestBoostedNextDistBatch:
         out = boosted_next_dist_batch(trained_backend, contexts, spec)
         for row, ctx in zip(out, contexts):
             assert np.array_equal(row, boosted_next_dist(trained_backend, ctx, spec))
-
-    def test_log_floor_none_raises_support_mismatch(self):
-        backend = TableBackend(2, {(0, 1): [0.5, 0.5], (1,): [1.0, 0.0]}, max_context=16)
-        spec = BoostSpec(weights={MAX_CONTEXT: 1.0, 1: -0.5})
-        with pytest.raises(SupportMismatchError):
-            boosted_next_dist(backend, (0, 1), spec, log_floor=None)
-        with pytest.raises(SupportMismatchError):
-            boosted_next_dist_batch(backend, [(1, 1), (0, 1)], spec, log_floor=None)
-        floored = boosted_next_dist_batch(backend, [(0, 1)], spec)
-        assert np.array_equal(floored[0], boosted_next_dist(backend, (0, 1), spec))
 
     def test_empty_context_rejected(self, trained_backend):
         with pytest.raises(ContractError):

@@ -169,6 +169,29 @@ class TestEval:
             assert key in payload
         assert payload["k"] == 2 and payload["alpha"] == -0.5
 
+    def test_summarize_report(self, workspace, tmp_path):
+        _, _, model, _, _ = workspace
+        report = tmp_path / "summ.json"
+        rc = main([
+            "eval", "--task", "summarize", "--data", str(summarize_items(tmp_path)),
+            "--backend", f"toy:{model}", "--alpha", "-0.5", "--max-new-tokens", "4",
+            "--report", str(report),
+        ])
+        assert rc == 0
+        payload = json.load(open(report))
+        assert sorted(payload) == ["alpha", "manifest", "mean", "rows", "sentence_count"]
+        assert payload["alpha"] == -0.5 and payload["sentence_count"] == 3
+        assert sorted(payload["mean"]) == ["rouge1", "rouge2", "rougeL"]
+        assert [row["id"] for row in payload["rows"]] == ["s0", "s1"]
+
+
+def summarize_items(tmp_path):
+    path = tmp_path / "summ.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "s0", "article": "w0 w1 w2 w3", "reference": "w1 w2"}) + "\n")
+        f.write(json.dumps({"id": "s1", "article": "w4 w5 w4", "reference": "w5"}) + "\n")
+    return path
+
 
 class TestSweep:
     def test_singleton_grid_passthrough(self, workspace, tmp_path):
@@ -804,6 +827,59 @@ class TestRemoteReplyFaults:
                 "--report", str(tmp_path / "r.json"),
             ])
         assert rc == 3  # the server's fault, not bad input (2)
+
+    @staticmethod
+    def failing_server(model, good_calls):
+        """A BackendServer over the workspace model whose replies turn to
+        NaN after ``good_calls`` next_logprobs calls."""
+        from cboost.backend import Backend
+        from cboost.remote import BackendServer
+        from cboost.toy_lm import ToyBackend, load_params
+
+        class FailsAfter(Backend):
+            def __init__(self):
+                self.inner = ToyBackend(load_params(str(model)))
+                self.calls = 0
+
+            def info(self):
+                return self.inner.info()
+
+            def next_logprobs(self, context):
+                self.calls += 1
+                if self.calls > good_calls:
+                    return np.full(self.info().vocab_size, np.nan)
+                return self.inner.next_logprobs(context)
+
+        return BackendServer(FailsAfter())
+
+    def test_summarize_failure_exit_3_names_the_item(self, workspace, tmp_path, capsys):
+        _, _, model, _, _ = workspace
+        # s0 takes 7 model calls (one unboosted step, then two experts
+        # per step), so the 8th call belongs to s1
+        with self.failing_server(model, good_calls=7) as server:
+            rc = main([
+                "eval", "--task", "summarize", "--data", str(summarize_items(tmp_path)),
+                "--backend", f"remote:{server.url}",
+                "--vocab", vocab_sidecar_path(str(model)),
+                "--alpha", "-0.5", "--max-new-tokens", "4",
+                "--report", str(tmp_path / "r.json"),
+            ])
+        assert rc == 3
+        assert "backend error: generation failed for item s1: " in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_generate_failure_exit_3_names_the_prompt(self, workspace, tmp_path, capsys):
+        _, _, model, _, prompts = workspace
+        for mode in (["--mode", "greedy"], ["--mode", "beam", "--beam", "2"]):
+            with self.failing_server(model, good_calls=2) as server:
+                rc = main([
+                    "generate", "--prompts", str(prompts), *mode,
+                    "--backend", f"remote:{server.url}",
+                    "--vocab", vocab_sidecar_path(str(model)),
+                    "--max-new-tokens", "4", "--out", str(tmp_path / "g.jsonl"),
+                ])
+            assert rc == 3
+            assert "backend error: generation failed for p0: " in capsys.readouterr().err
 
 
 class TestTrainReachesLowLoss:

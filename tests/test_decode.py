@@ -25,6 +25,24 @@ from cboost.toy_lm import ToyBackend, ToyLMParams
 from conftest import TableBackend
 
 
+class FailingBackend(Backend):
+    """A fixed next-token distribution until call ``fail_from`` of
+    next_logprobs, which raises BackendError, as does every later call."""
+
+    def __init__(self, fail_from):
+        self.fail_from = fail_from
+        self.calls = 0
+
+    def info(self):
+        return BackendInfo(4, 1024, "failing")
+
+    def next_logprobs(self, context):
+        self.calls += 1
+        if self.calls >= self.fail_from:
+            raise BackendError("boom")
+        return np.log(np.array([0.7, 0.1, 0.1, 0.1]))
+
+
 class TestGenerate:
     def test_greedy_alternating_chain(self, alternating_params):
         backend = ToyBackend(alternating_params)
@@ -72,23 +90,11 @@ class TestGenerate:
         out = generate(backend, tuple([1] * 12), GenConfig(max_new_tokens=30))
         assert len(out.tokens) == 30
 
-    def test_backend_failure_returns_partial(self):
-        class FailingBackend(Backend):
-            def __init__(self):
-                self.calls = 0
-
-            def info(self):
-                return BackendInfo(4, 1024, "failing")
-
-            def next_logprobs(self, context):
-                self.calls += 1
-                if self.calls > 3:
-                    raise BackendError("boom")
-                return np.log(np.array([0.7, 0.1, 0.1, 0.1]))
-
-        out = generate(FailingBackend(), (0,), GenConfig(max_new_tokens=10))
-        assert out.error is not None and "boom" in out.error
-        assert out.tokens == (0, 0, 0)
+    def test_backend_failure_raises(self):
+        backend = FailingBackend(fail_from=4)
+        with pytest.raises(BackendError, match="boom"):
+            generate(backend, (0,), GenConfig(max_new_tokens=10))
+        assert backend.calls == 4
 
     def test_empty_prompt_rejected(self, trained_backend):
         with pytest.raises(ContractError):
@@ -199,6 +205,17 @@ class TestDialog:
 
 
 class TestBeam:
+    @pytest.mark.parametrize("fail_from", [1, 3, 6, 7, 8, 9, 11])
+    def test_backend_failure_raises(self, fail_from):
+        # width 2, 3 tokens: calls 1-5 score the beam steps, 6-8 the greedy
+        # floor's generation and 9-11 its sequence_logprob
+        cfg = GenConfig(mode="beam", beam_width=2, max_new_tokens=3)
+        assert beam_search(FailingBackend(fail_from=12), (0,), cfg).tokens == (0, 0, 0)
+        backend = FailingBackend(fail_from)
+        with pytest.raises(BackendError, match="boom"):
+            beam_search(backend, (0,), cfg)
+        assert backend.calls == fail_from
+
     def test_width_one_equals_greedy(self, trained_backend):
         cfg = GenConfig(mode="beam", beam_width=1, max_new_tokens=10)
         beam = beam_search(trained_backend, (2, 3), cfg)

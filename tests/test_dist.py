@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cboost.dist import (
-    DEFAULT_LOG_FLOOR,
+    LOG_FLOOR,
     apply_temperature,
     kl_divergence,
     log_linear_mix,
@@ -18,7 +18,7 @@ from cboost.dist import (
     truncate_top_p,
     uniform_logprobs,
 )
-from cboost.errors import ContractError, SupportMismatchError
+from cboost.errors import ContractError
 from cboost.rng import named_rng
 
 
@@ -136,21 +136,16 @@ class TestLogLinearMix:
         q = logv([1.0, 0.0])
         out = np.exp(log_linear_mix([p, q], [1.0, -0.5]))
         # manual: second token's q-logprob clamps to the floor
-        z = np.array([np.log(0.4) - 0.5 * 0.0, np.log(0.6) - 0.5 * DEFAULT_LOG_FLOOR])
+        z = np.array([np.log(0.4) - 0.5 * 0.0, np.log(0.6) - 0.5 * LOG_FLOOR])
         expected = np.exp(z - logsumexp(z))
         assert np.allclose(out, expected, atol=1e-12)
 
-    def test_support_mismatch_raises_without_floor(self):
-        p = np.log([0.4, 0.6])
-        q = logv([1.0, 0.0])
-        with pytest.raises(SupportMismatchError, match="support mismatch"):
-            log_linear_mix([p, q], [1.0, -0.5], log_floor=None)
-
-    def test_zero_under_both_sides_is_forced_zero_without_floor(self):
-        # token 1 has zero mass under a positive expert too: no mismatch
+    def test_zero_under_both_sides_is_forced_zero(self):
+        # token 1 has zero mass under the positive expert: the floored
+        # negative expert cannot revive it
         p = logv([1.0, 0.0])
         q = logv([1.0, 0.0])
-        out = log_linear_mix([p, q], [1.5, -0.5], log_floor=None)
+        out = log_linear_mix([p, q], [1.5, -0.5])
         assert out[1] == -np.inf
 
     def test_no_experts_rejected(self):

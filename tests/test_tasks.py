@@ -7,7 +7,7 @@ import pytest
 from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist, score_choice
 from cboost.decode import GenConfig, generate
 from cboost.dist import logsumexp
-from cboost.errors import ContractError
+from cboost.errors import BackendError, ContractError
 from cboost.rng import named_rng
 from cboost.tasks import (
     LamaItem,
@@ -172,6 +172,16 @@ class TestEvalMultipleChoice:
         with caplog.at_level(logging.WARNING):
             eval_multiple_choice(backend, [item], alpha=0.0)
         assert "not a token suffix" in caplog.text
+
+    def test_empty_premise_free_context_scored_after_eot(self, caplog):
+        backend = TestEvaluateCell.word_backend()
+        item = MCItem("e", "a b", "", ("c", "d e"), gold=0)
+        with caplog.at_level(logging.WARNING):
+            res = eval_items(backend, [item], None, -1.0)
+        assert "item e: empty premise-free context" in caplog.text
+        eot = (backend.eot_token_id,)
+        for choice, scores in zip(item.choices, res.per_item[0]["scores"]):
+            assert scores["short"] == backend.score_continuation(eot, backend.encode(choice))
 
     def test_item_validation(self):
         with pytest.raises(ContractError):
@@ -430,7 +440,7 @@ class TestCellScorerOracles:
 
 
 class TestSummarize:
-    def summarizing_backend(self):
+    def summarizing_backend(self, backend_class=TableBackend):
         """Deterministic chain that emits the reference summary after the
         separator."""
         words = ["article", "body", "great", "news", "today.", "tldr:"]
@@ -442,7 +452,7 @@ class TestSummarize:
         table[(enc("great"),)] = self.one_hot(tok, "news")
         table[(enc("news"),)] = self.one_hot(tok, "today.")
         table[(enc("today."),)] = self.one_hot(tok, "<eot>")
-        return TableBackend(tok.vocab_size, table, tokenizer=tok), tok
+        return backend_class(tok.vocab_size, table, tokenizer=tok), tok
 
     @staticmethod
     def one_hot(tok, word):
@@ -472,6 +482,24 @@ class TestSummarize:
         assert report.rows[0].summary == " ".join(
             split_sentences(tok.decode(plain.tokens))[:3]
         )
+
+    # each summary takes 7 calls: one unboosted step, then two experts per step
+    @pytest.mark.parametrize("good_calls, item_id", [(2, "s0"), (7, "s1"), (9, "s1")])
+    def test_backend_failure_names_the_item(self, good_calls, item_id):
+        class FailingTable(TableBackend):
+            def next_logprobs(self, context):
+                if self.calls == good_calls:
+                    raise BackendError("boom")
+                return super().next_logprobs(context)
+
+        backend, tok = self.summarizing_backend(FailingTable)
+        items = [
+            SummarizeItem("s0", "article body", "great news today."),
+            SummarizeItem("s1", "body article", "great news today."),
+        ]
+        cfg = GenConfig(max_new_tokens=8, stop_tokens=frozenset({tok.eot_id}))
+        with pytest.raises(BackendError, match=f"generation failed for item {item_id}: boom"):
+            summarize_eval(backend, items, alpha=-0.5, cfg=cfg, separator_text="tldr:")
 
     def test_sentence_splitting(self):
         text = "first one. second two! third three? fourth"
