@@ -14,14 +14,14 @@ of the actual NLL curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dist import log_softmax, logsumexp
 from .errors import ContractError
-from .toy_lm import LossProfile, ToyLMParams, eval_positions, lagged_tokens
+from .toy_lm import LossProfile, ToyLMParams, heldout_view
 
 DEFAULT_PROBES = (0.05, 0.1)
 
@@ -41,19 +41,7 @@ class BoostDerivativeReport:
     probe_improved: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "max_context": self.max_context,
-            "loss_full": self.loss_full,
-            "loss_short": self.loss_short,
-            "mean_kl": self.mean_kl,
-            "analytic_derivative": self.analytic_derivative,
-            "fd_derivative": self.fd_derivative,
-            "h": self.h,
-            "improvement_predicted": self.improvement_predicted,
-            "probe_nll": {str(t): v for t, v in self.probe_nll.items()},
-            "probe_improved": self.probe_improved,
-        }
+        return {**asdict(self), "probe_nll": {str(t): v for t, v in self.probe_nll.items()}}
 
 
 def boost_derivative_check(
@@ -76,12 +64,8 @@ def boost_derivative_check(
     m = params.lag_depth
     if not (1 <= k <= m):
         raise ContractError(f"k must be in [1, {m}]")
-    tokens = np.asarray(heldout, dtype=np.int64)
-    pos = eval_positions(tokens, m)
-    targets = tokens[pos]
-    rows = np.arange(len(pos))
-
-    recent = lagged_tokens(tokens, m)
+    recent, targets = heldout_view(heldout, m)
+    rows = np.arange(len(targets))
     lf_full = log_softmax(params.logits(recent))
     lf_short = log_softmax(params.logits(recent[:k]))
     loss_full = float(np.mean(-lf_full[rows, targets]))
@@ -134,12 +118,8 @@ def pareto_profile(params: ToyLMParams, heldout: Sequence[int]) -> ParetoProfile
     length's divergence from the full-context expert; the raw material of
     the improvement condition, emitted for inspection."""
     m = params.lag_depth
-    tokens = np.asarray(heldout, dtype=np.int64)
-    pos = eval_positions(tokens, m)
-    targets = tokens[pos]
-    rows = np.arange(len(pos))
-
-    recent = lagged_tokens(tokens, m)
+    recent, targets = heldout_view(heldout, m)
+    rows = np.arange(len(targets))
     lf_full = log_softmax(params.logits(recent))
     p_full = np.exp(lf_full)
     losses = np.empty(m)

@@ -143,11 +143,12 @@ class Backend:
 class CachingBackend(Backend):
     """Bounded LRU memoization of next_logprobs and score_continuation.
 
-    Keys are exact token-id tuples.  The cache is internally synchronized:
-    ``cboost serve`` answers each request on its own thread, and all of
-    them share one instance.  Cached vectors
-    are returned read-only, and must be identical to uncached results to
-    the last bit.
+    Keys are exact token-id tuples.  All three entry points look their keys
+    up through ``_cached``, each with its own fill from the inner backend.
+    The cache is internally synchronized: ``cboost serve`` answers each
+    request on its own thread, and all of them share one instance.  Cached
+    vectors are returned read-only, and must be identical to uncached
+    results to the last bit.
     """
 
     def __init__(self, inner: Backend, capacity: int = DEFAULT_CACHE_CAPACITY):
@@ -165,73 +166,70 @@ class CachingBackend(Backend):
         return self.inner.info()
 
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
-        key = as_tokens(context)
-        with self._lock:
-            if key in self._logprobs:
-                self.hits += 1
-                self._logprobs.move_to_end(key)
-                return self._logprobs[key]
-        value = np.asarray(self.inner.next_logprobs(key), dtype=np.float64)
-        value.setflags(write=False)
-        with self._lock:
-            self.misses += 1
-            self._logprobs[key] = value
-            if len(self._logprobs) > self.capacity:
-                self._logprobs.popitem(last=False)
-        return value
+        return self._cached(self._logprobs, [as_tokens(context)], self._fill_one)[0]
 
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        """All rows are looked up under one lock; the misses are filled by
-        one inner batch call.  Hits and misses count per row, as repeated
-        next_logprobs calls would count them: a context repeated within
-        the batch is one miss, then hits.  The result is read-only."""
-        keys = [as_tokens(c) for c in contexts]
-        rows: list[np.ndarray | None] = []
-        missing: dict[Tokens, int] = {}  # miss key -> index into the fill
-        repeats = 0  # missed rows whose key an earlier row of the batch missed
-        with self._lock:
-            for key in keys:
-                value = self._logprobs.get(key)
-                if value is not None:
-                    self.hits += 1
-                    self._logprobs.move_to_end(key)
-                elif key in missing:
-                    repeats += 1
-                else:
-                    missing[key] = len(missing)
-                rows.append(value)
-        if missing:
-            filled = np.asarray(self.inner.next_logprobs_batch(list(missing)), dtype=np.float64)
-            fresh = [row.copy() for row in filled]
-            for value in fresh:
-                value.setflags(write=False)
-            with self._lock:
-                self.misses += len(fresh)
-                self.hits += repeats
-                for key, value in zip(missing, fresh):
-                    self._logprobs[key] = value
-                    self._logprobs.move_to_end(key)
-                while len(self._logprobs) > self.capacity:
-                    self._logprobs.popitem(last=False)
-            rows = [fresh[missing[key]] if row is None else row for key, row in zip(keys, rows)]
+        """The misses are filled by one inner batch call.  The result is
+        read-only."""
+        rows = self._cached(self._logprobs, [as_tokens(c) for c in contexts], self._fill_batch)
         out = np.array(rows) if rows else np.empty((0, self.info().vocab_size))
         out.setflags(write=False)
         return out
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
         key = (as_tokens(context), as_tokens(continuation))
+        return self._cached(self._scores, [key], self._fill_scores)[0]
+
+    def _cached(self, store: OrderedDict, keys: list, fill) -> list:
+        """The value of each key: hits come from ``store``, and the distinct
+        misses, in first-seen order, from one ``fill(misses)`` call, which
+        returns their values in that order.  Hits and misses count per
+        key, as one call per key would count them: a key repeated among
+        the misses is one miss, then hits.  The store then drops its least
+        recently used entries down to ``capacity``."""
+        values = []
+        missing: dict = {}  # miss key -> index into the fill
+        repeats = 0  # keys that an earlier key of this call missed
         with self._lock:
-            if key in self._scores:
-                self.hits += 1
-                self._scores.move_to_end(key)
-                return self._scores[key]
-        value = self.inner.score_continuation(*key)
+            for key in keys:
+                value = store.get(key)
+                if value is not None:
+                    self.hits += 1
+                    store.move_to_end(key)
+                elif key in missing:
+                    repeats += 1
+                else:
+                    missing[key] = len(missing)
+                values.append(value)
+        if not missing:
+            return values
+        fresh = fill(list(missing))
         with self._lock:
-            self.misses += 1
-            self._scores[key] = value
-            if len(self._scores) > self.capacity:
-                self._scores.popitem(last=False)
-        return value
+            self.misses += len(fresh)
+            self.hits += repeats
+            for key, value in zip(missing, fresh):
+                store[key] = value
+                store.move_to_end(key)
+            while len(store) > self.capacity:
+                store.popitem(last=False)
+        if len(fresh) == len(keys):  # every key a distinct miss
+            return fresh
+        return [fresh[missing[key]] if value is None else value for key, value in zip(keys, values)]
+
+    def _fill_one(self, keys: list[Tokens]) -> list[np.ndarray]:
+        value = np.asarray(self.inner.next_logprobs(keys[0]), dtype=np.float64)
+        value.setflags(write=False)
+        return [value]
+
+    def _fill_batch(self, keys: list[Tokens]) -> list[np.ndarray]:
+        filled = np.asarray(self.inner.next_logprobs_batch(keys), dtype=np.float64)
+        rows = [row.copy() for row in filled]
+        for row in rows:
+            row.setflags(write=False)
+        return rows
+
+    def _fill_scores(self, keys: list[tuple[Tokens, Tokens]]) -> list[float]:
+        return [self.inner.score_continuation(*keys[0])]
 
     def encode(self, text: str) -> Tokens:
         return self.inner.encode(text)

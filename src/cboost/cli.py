@@ -325,20 +325,28 @@ def cmd_generate(args) -> int:
     manifest = build_manifest("generate", _resolved(args), [args.prompts], args.backend)
     chash = manifest["config_hash"]
     prompts = read_records(args.prompts, [("id", "id"), ("prompt", "text")])
-    with open(args.out, "w", encoding="utf-8") as out:
-        out.write(json.dumps({"manifest": manifest}, sort_keys=True) + "\n")
-        for prompt_id, prompt in prompts:
-            prompt_tokens = backend.encode(prompt)
-            if not prompt_tokens:
-                raise ContractError(f"prompt {prompt_id} tokenizes to nothing")
-            try:
-                result = generate(backend, prompt_tokens, cfg)
-            except BackendError as exc:
-                raise BackendError(f"generation failed for {prompt_id}: {exc}") from exc
-            record = generation_record(
-                prompt_id, prompt_tokens, result, backend.decode(result.tokens), chash
-            )
-            out.write(json.dumps(record, sort_keys=True) + "\n")
+    # written under a temporary name and renamed after the last prompt, so
+    # a failure leaves no partial output behind
+    tmp = args.out + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(json.dumps({"manifest": manifest}, sort_keys=True) + "\n")
+            for prompt_id, prompt in prompts:
+                prompt_tokens = backend.encode(prompt)
+                if not prompt_tokens:
+                    raise ContractError(f"prompt {prompt_id} tokenizes to nothing")
+                try:
+                    result = generate(backend, prompt_tokens, cfg)
+                except BackendError as exc:
+                    raise BackendError(f"generation failed for {prompt_id}: {exc}") from exc
+                record = generation_record(
+                    prompt_id, prompt_tokens, result, backend.decode(result.tokens), chash
+                )
+                out.write(json.dumps(record, sort_keys=True) + "\n")
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     print(f"wrote {len(prompts)} generations -> {args.out}")
     return 0
 

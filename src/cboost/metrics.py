@@ -93,14 +93,20 @@ def _token_logprobs(
     return full, token_logprobs(backend, seq, start, short_len)
 
 
-def _token_probs(
-    corpus: Corpus, backend: Backend, short_len: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _scored_corpus(
+    corpus: Corpus, backend: Backend, short_len: int | None
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """``_token_logprobs`` of every document; a corpus with no scored
+    token at all is rejected."""
+    scored = [_token_logprobs(doc, backend, short_len) for doc in corpus.documents]
+    if not any(len(full) for full, _ in scored):
+        raise ContractError("no scorable tokens in corpus")
+    return scored
+
+
+def _probs(scored) -> list[tuple[np.ndarray, np.ndarray]]:
     """(p_full, p_short) of every scored token, one pair per document."""
-    return [
-        tuple(_exp(lp) for lp in _token_logprobs(doc, backend, short_len))
-        for doc in corpus.documents
-    ]
+    return [(_exp(full), _exp(short)) for full, short in scored]
 
 
 def _exp(logprobs: np.ndarray) -> np.ndarray:
@@ -120,22 +126,16 @@ def _ltf(probs) -> float:
     for p_full, p_short in probs:
         hits += int(np.sum((p_full >= LTF_LONG_THRESH) & (p_short < LTF_SHORT_THRESH)))
         total += len(p_full)
-    if total == 0:
-        raise ContractError("no scorable tokens in corpus")
     return hits / total
 
 
 def _delta(probs) -> float:
     all_diffs = np.concatenate([p_full - p_short for p_full, p_short in probs])
-    if all_diffs.size == 0:
-        raise ContractError("no scorable tokens in corpus")
     return float(np.mean(all_diffs))
 
 
-def _perplexity(logprobs: list[np.ndarray]) -> float:
-    nll = -np.concatenate(logprobs)
-    if nll.size == 0:
-        raise ContractError("no scorable tokens in corpus")
+def _perplexity(scored) -> float:
+    nll = -np.concatenate([full for full, _ in scored])
     return float(np.exp(np.mean(nll)))
 
 
@@ -143,17 +143,17 @@ def ltf(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
     """Frequency of long-dependent tokens: likelihood >= LTF_LONG_THRESH
     given the full context but < LTF_SHORT_THRESH given only short_len
     tokens."""
-    return _ltf(_token_probs(corpus, backend, short_len))
+    return _ltf(_probs(_scored_corpus(corpus, backend, short_len)))
 
 
 def delta(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
     """Mean over tokens of p(full context) - p(short context)."""
-    return _delta(_token_probs(corpus, backend, short_len))
+    return _delta(_probs(_scored_corpus(corpus, backend, short_len)))
 
 
 def corpus_perplexity(corpus: Corpus, backend: Backend) -> float:
     """exp(mean NLL) of corpus tokens under the full available context."""
-    return _perplexity([_token_logprobs(doc, backend, None)[0] for doc in corpus.documents])
+    return _perplexity(_scored_corpus(corpus, backend, None))
 
 
 def zipf_coefficient(corpus: Corpus, min_count: int = 1) -> float:
@@ -453,16 +453,9 @@ class CoherenceReport:
     short_len: int = 20
 
     def to_dict(self) -> dict:
-        return {
-            "ppl": self.ppl,
-            "self_bleu4": self.self_bleu4,
-            "zipf": self.zipf,
-            "repetition": self.repetition,
-            **{f"lr_{n}": v for n, v in sorted(self.lr.items())},
-            "delta": self.delta,
-            "ltf": self.ltf,
-            "short_len": self.short_len,
-        }
+        fields = asdict(self)
+        fields.update((f"lr_{n}", v) for n, v in fields.pop("lr").items())
+        return fields
 
 
 def coherence_report(
@@ -476,10 +469,10 @@ def coherence_report(
 ) -> CoherenceReport:
     """Every metric of the set; the model-relative ones (ppl, delta, ltf)
     share one scoring of each document."""
-    scored = [_token_logprobs(doc, backend, short_len) for doc in corpus.documents]
-    probs = [(_exp(full), _exp(short)) for full, short in scored]
+    scored = _scored_corpus(corpus, backend, short_len)
+    probs = _probs(scored)
     return CoherenceReport(
-        ppl=_perplexity([full for full, _ in scored]),
+        ppl=_perplexity(scored),
         self_bleu4=self_bleu4(corpus) if len(corpus.documents) > 1 else 1.0,
         zipf=zipf_coefficient(corpus, min_count=zipf_min_count),
         repetition=repetition_fraction(corpus, repetition_min_copies, repetition_max_span),
@@ -490,23 +483,21 @@ def coherence_report(
     )
 
 
-COHERENCE_COLUMNS = ["ppl", "BLEU-4", "Zipf", "rep %", "LR_50 %", "LR_100 %", "delta %", "LTF %"]
-
-
 def render_coherence_table(report: CoherenceReport) -> str:
     """Aligned plain-text table with one row per corpus, columns matching
-    the generation-metrics layout (percent columns scaled by 100)."""
-    values = [
-        f"{report.ppl:.2f}",
-        f"{report.self_bleu4:.2f}",
-        f"{report.zipf:.2f}",
-        f"{100 * report.repetition:.2f}",
-        f"{100 * report.lr.get(50, float('nan')):.2f}",
-        f"{100 * report.lr.get(100, float('nan')):.2f}",
-        f"{100 * report.delta:.2f}",
-        f"{100 * report.ltf:.2f}",
+    the generation-metrics layout (percent columns scaled by 100), with
+    one LR column per repetition distance in ascending order."""
+    columns = [
+        ("ppl", f"{report.ppl:.2f}"),
+        ("BLEU-4", f"{report.self_bleu4:.2f}"),
+        ("Zipf", f"{report.zipf:.2f}"),
+        ("rep %", f"{100 * report.repetition:.2f}"),
+        *((f"LR_{n} %", f"{100 * v:.2f}") for n, v in sorted(report.lr.items())),
+        ("delta %", f"{100 * report.delta:.2f}"),
+        ("LTF %", f"{100 * report.ltf:.2f}"),
     ]
-    return render_one_row_table(["corpus"] + COHERENCE_COLUMNS, ["corpus"] + values)
+    headers, values = zip(*columns)
+    return render_one_row_table(["corpus", *headers], ["corpus", *values])
 
 
 @dataclass

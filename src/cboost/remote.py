@@ -9,10 +9,12 @@ Wire format (JSON bodies, UTF-8):
                            -> {"logprob": float, "per_token": [float...]}
 
 Status 400 signals a contract violation, 503 a transient overload and
-500 an internal server error.  The reference server answers 400, and
-closes the connection without reading the body, when Content-Length is
-negative or exceeds BODY_BYTES_PER_TOKEN bytes per token of the backend's
-max_context plus BODY_ALLOWANCE.  The client retries only transient
+500 an internal server error.  The reference server answers 400 to a
+token list (tokens, context, continuation) that is not a JSON list of
+JSON integers.  It also answers 400, and closes the connection without
+reading the body, when Content-Length is negative or exceeds
+BODY_BYTES_PER_TOKEN bytes per token of the backend's max_context plus
+BODY_ALLOWANCE.  The client retries only transient
 failures (connection errors and 503) three times with exponential
 backoff before giving up; any other status fails at once.  Replies are
 checked at the boundary: a reply must be JSON with the fields above, a
@@ -163,6 +165,15 @@ class RemoteBackend(Backend):
         return logprob
 
 
+def _token_list(body: dict, field: str) -> tuple[int, ...]:
+    """``body[field]``, which must be a JSON list of JSON integers."""
+    tokens = body[field]
+    # bool is a subclass of int, and JSON true is not a token id
+    if not (isinstance(tokens, list) and all(type(t) is int for t in tokens)):
+        raise ContractError(f"{field} must be a list of integers")
+    return tuple(tokens)
+
+
 class _Handler(BaseHTTPRequestHandler):
     backend: Backend  # set on the server class
 
@@ -205,11 +216,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if self.path == "/v1/next_logprobs":
-                vec = backend.next_logprobs(as_tokens(body["tokens"]))
+                vec = backend.next_logprobs(_token_list(body, "tokens"))
                 self._send(200, {"logprobs": [float(x) for x in vec]})
             elif self.path == "/v1/score":
-                ctx = as_tokens(body["context"])
-                cont = as_tokens(body["continuation"])
+                ctx = _token_list(body, "context")
+                cont = _token_list(body, "continuation")
                 backend._check_score_args(ctx, cont)
                 per_token = token_logprobs(backend, ctx + cont, len(ctx), backend.info().max_context)
                 logprob = float(np.cumsum(per_token)[-1])  # added in order, as score_continuation

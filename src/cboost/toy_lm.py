@@ -243,19 +243,17 @@ def _batch_loss_and_gradient(
     return total * scale, grad
 
 
-def eval_positions(heldout: Sequence[int], max_context: int) -> np.ndarray:
-    """Target positions in a held-out stream with full context available."""
-    heldout = np.asarray(heldout, dtype=np.int64)
-    if len(heldout) <= max_context:
+def heldout_view(heldout: Sequence[int], lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """The held-out positions with ``lags`` tokens of history, as
+    ``(recent, targets)``: ``targets`` holds the tokens at those positions,
+    and ``recent`` the ids before each, nearest first, as a (lags, N) view
+    of the stream: row j holds the tokens j+1 places back, the form
+    ``ToyLMParams.logits`` takes."""
+    tokens = np.asarray(heldout, dtype=np.int64)
+    if len(tokens) <= lags:
         raise ContractError("held-out stream shorter than max_context + 1")
-    return np.arange(max_context, len(heldout))
-
-
-def lagged_tokens(tokens: np.ndarray, lags: int) -> np.ndarray:
-    """The ids before each of ``eval_positions(tokens, lags)``, nearest
-    first, as a (lags, N) view of ``tokens``: row j holds the tokens j+1
-    places back, the form ``ToyLMParams.logits`` takes."""
-    return np.lib.stride_tricks.sliding_window_view(tokens[:-1], lags)[:, ::-1].T
+    recent = np.lib.stride_tricks.sliding_window_view(tokens[:-1], lags)[:, ::-1].T
+    return recent, tokens[lags:]
 
 
 def loss_profile(
@@ -268,12 +266,10 @@ def loss_profile(
     truncation.
     """
     m = params.lag_depth if max_context is None else max_context
-    tokens = np.asarray(heldout, dtype=np.int64)
-    pos = eval_positions(tokens, m)
-    rows = np.arange(len(pos))
-    targets = tokens[pos]
+    recent, targets = heldout_view(heldout, m)
+    rows = np.arange(len(targets))
     losses = np.empty(m)
-    for k, lf in enumerate(params.prefix_logprobs(lagged_tokens(tokens, m))):
+    for k, lf in enumerate(params.prefix_logprobs(recent)):
         losses[k] = float(np.mean(-lf[rows, targets]))
     return LossProfile(losses)
 

@@ -12,7 +12,6 @@ from cboost.toy_lm import (
     ToyBackend,
     ToyLMParams,
     TrainConfig,
-    eval_positions,
     train_uniform_scalarization,
 )
 
@@ -89,7 +88,7 @@ class TestParetoProfile:
     def test_matches_per_length_backend_forward(self, trained_params, copy_heldout):
         heldout = copy_heldout[:400]
         backend = ToyBackend(trained_params)
-        pos = eval_positions(heldout, 12)
+        pos = range(12, len(heldout))
         prof = pareto_profile(trained_params, heldout)
         full = np.array([backend.next_logprobs(heldout[p - 12 : p]) for p in pos])
         for k in range(1, 13):

@@ -1,4 +1,5 @@
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -299,6 +300,99 @@ class TestCachingBackend:
     def test_bad_capacity(self, uniform_backend):
         with pytest.raises(ContractError):
             CachingBackend(uniform_backend, capacity=0)
+
+
+class RecordingBackend(Backend):
+    """Logs every call that reaches it, with its keys, in order."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.log = []
+
+    def info(self):
+        return self.inner.info()
+
+    def next_logprobs(self, context):
+        self.log.append(("next_logprobs", context))
+        return self.inner.next_logprobs(context)
+
+    def next_logprobs_batch(self, contexts):
+        self.log.append(("next_logprobs_batch", list(contexts)))
+        return self.inner.next_logprobs_batch(contexts)
+
+    def score_continuation(self, context, continuation):
+        self.log.append(("score_continuation", (context, continuation)))
+        return self.inner.score_continuation(context, continuation)
+
+
+class LRUModel:
+    """The cache's contract as a plain OrderedDict LRU per store: a call's
+    keys are looked up first, its distinct misses then go to the inner
+    backend in one call, in first-seen order, and are inserted in that
+    order before the least recently used entries are dropped."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.stores = {"rows": OrderedDict(), "scores": OrderedDict()}
+        self.hits = self.misses = 0
+        self.log = []
+
+    def lookup(self, store_name, keys, method, batched):
+        store = self.stores[store_name]
+        missing = []
+        for key in keys:
+            if key in store:
+                self.hits += 1
+                store.move_to_end(key)
+            elif key in missing:
+                self.hits += 1
+            else:
+                self.misses += 1
+                missing.append(key)
+        if missing:
+            self.log.append((method, missing) if batched else (method, missing[0]))
+        for key in missing:
+            store[key] = True
+        while len(store) > self.capacity:
+            store.popitem(last=False)
+
+
+_key = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("next_logprobs"), _key),
+        st.tuples(st.just("next_logprobs_batch"), st.lists(_key, max_size=6)),
+        st.tuples(st.just("score_continuation"), st.tuples(_key, _key)),
+    ),
+    max_size=30,
+)
+
+
+class TestCacheAgainstLRUModel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), _cache_ops)
+    def test_values_counts_and_inner_calls(self, trained_params, capacity, ops):
+        plain = ToyBackend(trained_params)
+        recording = RecordingBackend(ToyBackend(trained_params))
+        cached = CachingBackend(recording, capacity=capacity)
+        model = LRUModel(capacity)
+        for method, arg in ops:
+            if method == "next_logprobs":
+                assert np.array_equal(cached.next_logprobs(arg), plain.next_logprobs(arg))
+                model.lookup("rows", [arg], method, batched=False)
+            elif method == "next_logprobs_batch":
+                out = cached.next_logprobs_batch(arg)
+                assert out.shape == (len(arg), 8)
+                for row, ctx in zip(out, arg):
+                    assert np.array_equal(row, plain.next_logprobs(ctx))
+                model.lookup("rows", arg, method, batched=True)
+            else:
+                assert cached.score_continuation(*arg) == plain.score_continuation(*arg)
+                model.lookup("scores", [arg], method, batched=False)
+            assert (cached.hits, cached.misses) == (model.hits, model.misses)
+            assert recording.log == model.log
+        assert list(cached._logprobs) == list(model.stores["rows"])
+        assert list(cached._scores) == list(model.stores["scores"])
 
 
 # ---------------------------------------------------------------------------

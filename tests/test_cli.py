@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cboost.cli import (
+    build_parser,
     load_backend,
     main,
     parse_alpha_grid,
@@ -98,6 +100,19 @@ class TestParsers:
         backend = load_backend(f"toy:{model}")
         with pytest.raises(ContractError):
             parse_boost_arg("oops", backend, None)
+
+
+def test_readme_cli_examples_parse():
+    """Every `cboost` command in README's CLI block names real flags."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line for line in block.replace("\\\n", " ").splitlines() if line.startswith("cboost ")
+    ]
+    assert len(commands) == 8
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
 
 
 class TestTrain:
@@ -276,6 +291,28 @@ class TestMetrics:
         header = payload["table"].splitlines()[0]
         for col in ("ppl", "BLEU-4", "Zipf", "rep %", "LR_50 %", "LR_100 %", "delta %", "LTF %"):
             assert col in header
+
+    def test_lr_columns_follow_lr_ns(self, workspace, tmp_path, capsys):
+        _, _, model, _, prompts = workspace
+        gen = tmp_path / "gen.jsonl"
+        main([
+            "generate", "--backend", f"toy:{model}", "--prompts", str(prompts),
+            "--mode", "sample", "--seed", "2", "--max-new-tokens", "30",
+            "--out", str(gen),
+        ])
+        capsys.readouterr()
+        report = tmp_path / "metrics.json"
+        rc = main([
+            "metrics", "--generations", str(gen), "--backend", f"toy:{model}",
+            "--report", str(report), "--lr-ns", "5,10",
+        ])
+        assert rc == 0
+        payload = json.load(open(report))
+        assert {"lr_5", "lr_10"} <= set(payload["coherence"])
+        header = payload["table"].splitlines()[0].split("  ")
+        assert "LR_5 %" in header and "LR_10 %" in header
+        assert "nan" not in payload["table"]
+        assert capsys.readouterr().out == payload["table"] + "\n"
 
     def test_dialog_metrics_with_refs(self, workspace, tmp_path):
         _, _, model, _, prompts = workspace
@@ -870,16 +907,33 @@ class TestRemoteReplyFaults:
 
     def test_generate_failure_exit_3_names_the_prompt(self, workspace, tmp_path, capsys):
         _, _, model, _, prompts = workspace
-        for mode in (["--mode", "greedy"], ["--mode", "beam", "--beam", "2"]):
-            with self.failing_server(model, good_calls=2) as server:
+        # p0 takes 4 greedy model calls, so the 6th call belongs to p1,
+        # after the manifest and p0's record were written
+        later = tmp_path / "later.jsonl"
+        later.write_text(
+            "".join(
+                json.dumps({"id": f"p{i}", "prompt": text}) + "\n"
+                for i, text in enumerate(["w0 w1 w2", "w3 w4 w5"])
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "g.jsonl"
+        for mode, prompt_file, good_calls, failing in (
+            (["--mode", "greedy"], prompts, 2, "p0"),
+            (["--mode", "beam", "--beam", "2"], prompts, 2, "p0"),
+            (["--mode", "greedy"], later, 5, "p1"),
+        ):
+            with self.failing_server(model, good_calls=good_calls) as server:
                 rc = main([
-                    "generate", "--prompts", str(prompts), *mode,
+                    "generate", "--prompts", str(prompt_file), *mode,
                     "--backend", f"remote:{server.url}",
                     "--vocab", vocab_sidecar_path(str(model)),
-                    "--max-new-tokens", "4", "--out", str(tmp_path / "g.jsonl"),
+                    "--max-new-tokens", "4", "--out", str(out),
                 ])
             assert rc == 3
-            assert "backend error: generation failed for p0: " in capsys.readouterr().err
+            assert f"backend error: generation failed for {failing}: " in capsys.readouterr().err
+            assert not out.exists()
+            assert not (tmp_path / "g.jsonl.tmp").exists()
 
 
 class TestTrainReachesLowLoss:

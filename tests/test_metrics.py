@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cboost.errors import ContractError
 from cboost.metrics import (
-    COHERENCE_COLUMNS,
+    CoherenceReport,
     Corpus,
     Document,
     bleu,
@@ -425,7 +425,7 @@ class TestReports:
             assert key in d
         table = render_coherence_table(rep)
         header = table.splitlines()[0]
-        for col in COHERENCE_COLUMNS:
+        for col in ("ppl", "BLEU-4", "Zipf", "rep %", "LR_50 %", "LR_100 %", "delta %", "LTF %"):
             assert col in header
 
     def test_model_probes_match_per_position_oracle(self, trained_params):
@@ -458,6 +458,36 @@ class TestReports:
         assert rep.ppl == corpus_perplexity(Corpus(docs), backend)
         assert rep.delta == delta(Corpus(docs), backend, short_len=5)
         assert rep.ltf == ltf(Corpus(docs), backend, short_len=5)
+
+    def test_coherence_table_lr_columns_follow_the_report(self):
+        def report(lr):
+            return CoherenceReport(
+                ppl=123.456, self_bleu4=0.0789, zipf=1.2345, repetition=0.25,
+                lr=lr, delta=-0.0312, ltf=0.0071,
+            )
+
+        # the default distances render as they always have
+        assert render_coherence_table(report({100: 0.125, 50: 0.5})) == (
+            "corpus     ppl  BLEU-4  Zipf  rep %  LR_50 %  LR_100 %  delta %  LTF %\n"
+            "corpus  123.46    0.08  1.23  25.00    50.00     12.50    -3.12   0.71"
+        )
+        assert render_coherence_table(report({10: 0.125, 5: 0.5})) == (
+            "corpus     ppl  BLEU-4  Zipf  rep %  LR_5 %  LR_10 %  delta %  LTF %\n"
+            "corpus  123.46    0.08  1.23  25.00   50.00    12.50    -3.12   0.71"
+        )
+
+    @pytest.mark.parametrize("probe", ["ppl", "delta", "ltf", "report"])
+    def test_no_scorable_tokens_rejected(self, trained_backend, probe):
+        # without a prompt a document's first token is not scored
+        corpus = Corpus([Document((1,)), Document((2,))])
+        run = {
+            "ppl": lambda: corpus_perplexity(corpus, trained_backend),
+            "delta": lambda: delta(corpus, trained_backend, short_len=2),
+            "ltf": lambda: ltf(corpus, trained_backend, short_len=2),
+            "report": lambda: coherence_report(corpus, trained_backend, short_len=2),
+        }[probe]
+        with pytest.raises(ContractError, match="no scorable tokens in corpus"):
+            run()
 
     def test_dialog_report_columns(self):
         candidates = [("a", "b", "c", "d", "e"), ("b", "c", "a", "f", "g")]

@@ -18,12 +18,21 @@ from cboost.remote import (
 )
 from cboost.toy_lm import ToyBackend
 
+from conftest import CountingBackend
+
 
 @pytest.fixture(scope="module")
 def served(trained_params):
     backend = ToyBackend(trained_params, max_context=64)
     with BackendServer(backend) as server:
         yield backend, server
+
+
+@pytest.fixture(scope="module")
+def counted(trained_params):
+    counting = CountingBackend(ToyBackend(trained_params))
+    with BackendServer(counting) as server:
+        yield counting, server
 
 
 def make_client(server, **kw):
@@ -119,6 +128,26 @@ class TestProtocol:
             server.url + "/v1/next_logprobs", json={"tokens": []}, timeout=5
         )
         assert resp.status_code == 400
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/next_logprobs", {"tokens": [1.9]}),
+            ("/v1/next_logprobs", {"tokens": [True]}),
+            ("/v1/next_logprobs", {"tokens": ["1"]}),
+            ("/v1/next_logprobs", {"tokens": "abc"}),
+            ("/v1/score", {"context": "12", "continuation": [3]}),
+            ("/v1/score", {"context": [1, 2], "continuation": [3.0]}),
+        ],
+        ids=["float", "bool", "string-id", "string", "string-context", "float-continuation"],
+    )
+    def test_token_list_not_of_integers_is_400(self, counted, path, body):
+        counting, server = counted
+        calls = counting.logprob_calls
+        resp = requests.post(server.url + path, json=body, timeout=5)
+        assert resp.status_code == 400
+        assert "must be a list of integers" in resp.json()["error"]
+        assert counting.logprob_calls == calls  # checked before the backend runs
 
     def test_unknown_path_is_400(self, served):
         _, server = served

@@ -15,7 +15,6 @@ from cboost.toy_lm import (
     WhitespaceTokenizer,
     _batch_loss_and_gradient,
     corpus_tokens,
-    eval_positions,
     load_params,
     loss_profile,
     save_params,
@@ -206,7 +205,7 @@ class TestLossProfile:
         # the same model as 12
         heldout = copy_heldout[:400]
         backend = ToyBackend(trained_params)
-        pos = eval_positions(heldout, max_context)
+        pos = range(max_context, len(heldout))
         prof = loss_profile(trained_params, heldout, max_context)
         for k in range(1, max_context + 1):
             nll = [-backend.next_logprobs(heldout[p - k : p])[heldout[p]] for p in pos]
