@@ -140,11 +140,21 @@ class Backend:
         return self.tokenizer
 
 
+def _as_tuple(seq: Sequence[int]) -> tuple:
+    """``seq`` as a tuple: a tuple as it is, any other sequence through
+    as_tokens.  A tuple of numpy ints or bools hashes and compares equal to
+    its int form, so as a dict key it finds the same entry."""
+    return seq if isinstance(seq, tuple) else as_tokens(seq)
+
+
 class CachingBackend(Backend):
     """Bounded LRU memoization of next_logprobs and score_continuation.
 
-    Keys are exact token-id tuples.  All three entry points look their keys
-    up through ``_cached``, each with its own fill from the inner backend.
+    Keys are token-id tuples: a tuple is its own key, and any other
+    sequence is normalized with ``as_tokens`` first (``_as_tuple``), so a
+    list, an array and a tuple of numpy ints of the same ids share one
+    entry.  All three entry points look their keys up
+    through ``_cached``, each with its own fill from the inner backend.
     The cache is internally synchronized: ``cboost serve`` answers each
     request on its own thread, and all of them share one instance.  Cached
     vectors are returned read-only, and must be identical to uncached
@@ -166,18 +176,18 @@ class CachingBackend(Backend):
         return self.inner.info()
 
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
-        return self._cached(self._logprobs, [as_tokens(context)], self._fill_one)[0]
+        return self._cached(self._logprobs, [_as_tuple(context)], self._fill_one)[0]
 
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
         """The misses are filled by one inner batch call.  The result is
         read-only."""
-        rows = self._cached(self._logprobs, [as_tokens(c) for c in contexts], self._fill_batch)
+        rows = self._cached(self._logprobs, list(map(_as_tuple, contexts)), self._fill_batch)
         out = np.array(rows) if rows else np.empty((0, self.info().vocab_size))
         out.setflags(write=False)
         return out
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
-        key = (as_tokens(context), as_tokens(continuation))
+        key = (_as_tuple(context), _as_tuple(continuation))
         return self._cached(self._scores, [key], self._fill_scores)[0]
 
     def _cached(self, store: OrderedDict, keys: list, fill) -> list:

@@ -17,7 +17,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .backend import Backend, Tokens, as_tokens
+from .backend import Backend, Tokens, _as_tuple, as_tokens
 from .dist import LogProbs, log_linear_mix, uniform_logprobs
 from .errors import ContractError
 
@@ -87,11 +87,38 @@ class BoostSpec:
         return cls(weights={MAX_CONTEXT: 1.0})
 
 
-def _short_context_after_separator(context: Tokens, separator: int) -> Tokens:
+def _suffix_length(context: Tokens, separator: int) -> int:
+    """How many tokens follow the last separator in context."""
     for i in range(len(context) - 1, -1, -1):
         if context[i] == separator:
-            return context[i + 1 :]
-    return context  # no separator: the whole context is the "response"
+            return len(context) - 1 - i
+    return len(context)  # no separator: the whole context is the "response"
+
+
+def _plan(context: Tokens, spec: BoostSpec) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The experts of ``context`` under ``spec``, as (how many of the
+    context's last tokens each one reads, their weights), the full context
+    first.  This is the one resolution rule.  Without an after-separator
+    policy the plan depends on len(context) only."""
+    n = len(context)
+    if not n:
+        raise ContractError("context must be non-empty")
+    full_weight = 0.0
+    keeps: list[int] = []
+    weights: list[float] = []
+    for key, w in spec.weights.items():
+        if w == 0:
+            continue
+        if key == MAX_CONTEXT or (key != SHORT and key >= n):
+            full_weight += w  # a fixed length >= n coincides with the full context
+            continue
+        m = _suffix_length(context, spec.policy.separator) if key == SHORT else key
+        if m:  # an empty suffix: nothing generated yet, leave this step unboosted
+            keeps.append(m)
+            weights.append(w)
+    if full_weight != 0.0:
+        return (n, *keeps), (full_weight, *weights)
+    return tuple(keeps), tuple(weights)
 
 
 def resolve_expert_contexts(
@@ -104,35 +131,9 @@ def resolve_expert_contexts(
     evaluates the same context twice.  Under an after-separator policy an
     empty suffix drops the short expert (the step is unboosted).
     """
-    return _resolve(as_tokens(context), spec)
-
-
-def _resolve(context: Tokens, spec: BoostSpec) -> list[tuple[Tokens, float]]:
-    """resolve_expert_contexts on an already normalised context."""
-    if not context:
-        raise ContractError("context must be non-empty")
-    full_weight = 0.0
-    shorts: list[tuple[Tokens, float]] = []
-    for key, w in spec.weights.items():
-        if w == 0:
-            continue
-        if key == MAX_CONTEXT:
-            full_weight += w
-        elif key == SHORT:
-            suffix = _short_context_after_separator(context, spec.policy.separator)
-            if suffix:
-                shorts.append((suffix, w))
-            # empty suffix: nothing generated yet, leave this step unboosted
-        else:
-            if key >= len(context):
-                full_weight += w  # expert coincides with the full context
-            else:
-                shorts.append((context[-key:], w))
-    experts: list[tuple[Tokens, float]] = []
-    if full_weight != 0.0:
-        experts.append((context, full_weight))
-    experts.extend(shorts)
-    return experts
+    context = as_tokens(context)
+    keeps, weights = _plan(context, spec)
+    return [(context[-m:], w) for m, w in zip(keeps, weights)]
 
 
 def boosted_next_dist(backend: Backend, context: Sequence[int], spec: BoostSpec) -> LogProbs:
@@ -154,30 +155,42 @@ def boosted_next_dist_batch(
 ) -> np.ndarray:
     """Row i is boosted_next_dist(backend, contexts[i], spec), bit for bit.
 
-    Every expert context of every row goes to the backend in one
-    next_logprobs_batch call, in the order the per-item path requests
-    them.  Rows whose resolved weights agree (the common case; a fixed k
-    covering a context collapses its experts into one) are mixed by one
-    row-wise log_linear_mix call.
+    A tuple context is used as it is (``_as_tuple``), and each context is
+    planned once per distinct length, or per distinct context under an
+    after-separator policy.  Every expert context of every row goes to
+    the backend in one next_logprobs_batch call, in per-item order.  Rows
+    whose plans have equal weights (the common case; a fixed k covering a
+    context collapses its experts into one) are mixed by one row-wise
+    log_linear_mix call.
     """
-    resolved = [_resolve(as_tokens(c), spec) for c in contexts]
-    flat = [ctx for experts in resolved for ctx, _ in experts]
+    contexts = list(map(_as_tuple, contexts))
+    plan_keys = contexts if spec.policy is not None else map(len, contexts)
+    plan_ids: dict = {}  # plan key -> index into plans
+    plans: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
+    row_plan = []
+    for key, c in zip(plan_keys, contexts):
+        j = plan_ids.get(key)
+        if j is None:
+            j = plan_ids[key] = len(plans)
+            plans.append(_plan(c, spec))
+        row_plan.append(j)
+    keeps = [plan[0] for plan in plans]
+    flat = [c[-m:] for c, j in zip(contexts, row_plan) for m in keeps[j]]
     vecs = backend.next_logprobs_batch(flat)
-    out = np.empty((len(resolved), backend.info().vocab_size))
+    row_plan = np.asarray(row_plan, dtype=np.intp)
+    sizes = np.asarray([len(k) for k in keeps], dtype=np.intp)[row_plan]
+    starts = np.cumsum(sizes) - sizes  # row -> index of its first expert
+    out = np.empty((len(contexts), backend.info().vocab_size))
     groups: dict[tuple[float, ...], list[int]] = {}
-    starts = []  # row -> index of its first expert in flat
-    pos = 0
-    for i, experts in enumerate(resolved):
-        starts.append(pos)
-        pos += len(experts)
-        groups.setdefault(tuple(w for _, w in experts), []).append(i)
-    for weights, rows in groups.items():
+    for j, (_, weights) in enumerate(plans):
+        groups.setdefault(weights, []).append(j)
+    for weights, members in groups.items():
+        rows = np.flatnonzero(np.isin(row_plan, members))
         if not weights:
             out[rows] = uniform_logprobs(out.shape[1])
             continue
-        first = np.asarray([starts[i] for i in rows])
-        experts = [vecs[first + e] for e in range(len(weights))]
-        out[rows] = log_linear_mix(experts, weights)
+        first = starts[rows]
+        out[rows] = log_linear_mix([vecs[first + e] for e in range(len(weights))], weights)
     return out
 
 

@@ -251,7 +251,9 @@ def heldout_view(heldout: Sequence[int], lags: int) -> tuple[np.ndarray, np.ndar
     ``ToyLMParams.logits`` takes."""
     tokens = np.asarray(heldout, dtype=np.int64)
     if len(tokens) <= lags:
-        raise ContractError("held-out stream shorter than max_context + 1")
+        raise ContractError(
+            f"held-out stream has {len(tokens)} tokens; needs at least {lags + 1} (lags + 1)"
+        )
     recent = np.lib.stride_tricks.sliding_window_view(tokens[:-1], lags)[:, ::-1].T
     return recent, tokens[lags:]
 

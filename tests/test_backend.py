@@ -395,6 +395,48 @@ class TestCacheAgainstLRUModel:
         assert list(cached._scores) == list(model.stores["scores"])
 
 
+# every form of the context (1, 2): a tuple is its own key, and tuples of
+# numpy ints or bools hash and compare equal to it; other sequences are
+# normalized first
+KEY_FORMS = [(1, 2), (np.int64(1), 2), (True, 2), [1, 2], np.array([1, 2])]
+
+
+class TestCacheKeyRule:
+    def _cached(self, trained_params):
+        recording = RecordingBackend(ToyBackend(trained_params))
+        return CachingBackend(recording), recording
+
+    def test_next_logprobs_one_entry(self, trained_params):
+        expected = ToyBackend(trained_params).next_logprobs((1, 2))
+        cached, recording = self._cached(trained_params)
+        for form in KEY_FORMS:
+            assert np.array_equal(cached.next_logprobs(form), expected)
+        assert recording.log == [("next_logprobs", (1, 2))]
+        assert (cached.hits, cached.misses) == (len(KEY_FORMS) - 1, 1)
+        assert list(cached._logprobs) == [(1, 2)]
+
+    def test_next_logprobs_batch_one_entry(self, trained_params):
+        expected = ToyBackend(trained_params).next_logprobs((1, 2))
+        cached, recording = self._cached(trained_params)
+        out = cached.next_logprobs_batch(KEY_FORMS)
+        assert all(np.array_equal(row, expected) for row in out)
+        assert recording.log == [("next_logprobs_batch", [(1, 2)])]
+        per_item, _ = self._cached(trained_params)
+        for form in KEY_FORMS:
+            per_item.next_logprobs(form)
+        assert (cached.hits, cached.misses) == (per_item.hits, per_item.misses)
+        assert list(cached._logprobs) == [(1, 2)]
+
+    def test_score_continuation_one_entry(self, trained_params):
+        expected = ToyBackend(trained_params).score_continuation((1, 2), (1, 2))
+        cached, recording = self._cached(trained_params)
+        for form in KEY_FORMS:
+            assert cached.score_continuation(form, form) == expected
+        assert recording.log == [("score_continuation", ((1, 2), (1, 2)))]
+        assert (cached.hits, cached.misses) == (len(KEY_FORMS) - 1, 1)
+        assert list(cached._scores) == [((1, 2), (1, 2))]
+
+
 # ---------------------------------------------------------------------------
 # Batched next-token scoring against the per-item path
 # ---------------------------------------------------------------------------

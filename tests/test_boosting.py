@@ -262,23 +262,42 @@ class SparseBackend(Backend):
 WEIGHTS = st.sampled_from([0.0, 1.0, -1.0, -0.5, 0.25, 1.5, -2.0])
 
 
+# the forms a caller may pass a context in
+CONTEXT_FORMS = st.sampled_from([
+    tuple,
+    list,
+    lambda c: np.array(c, dtype=np.int64),
+    lambda c: tuple(np.int64(t) for t in c),
+])
+
+
 @st.composite
 def batch_cases(draw):
-    """(vocab, seed, contexts of mixed lengths, spec).  The
+    """(vocab, seed, contexts of mixed lengths and forms, spec).  The
     short lengths reach past the longest context, so k >= len(context)
-    collapses occur, and every weight may be zero or negative."""
+    collapses occur, and every weight may be zero or negative.  One spec
+    in three is an after-separator spec, whose short expert reads the
+    tokens after the last separator."""
     v = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     contexts = draw(
         st.lists(
-            st.lists(st.integers(0, v - 1), min_size=1, max_size=7).map(tuple),
+            st.builds(
+                lambda form, c: form(c),
+                CONTEXT_FORMS,
+                st.lists(st.integers(0, v - 1), min_size=1, max_size=7),
+            ),
             min_size=1,
             max_size=10,
         )
     )
     ks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True))
     weights = {MAX_CONTEXT: draw(WEIGHTS), **{k: draw(WEIGHTS) for k in ks}}
-    spec = BoostSpec(weights=weights, max_entries=3)
+    if draw(st.integers(0, 2)) == 0:
+        weights = {MAX_CONTEXT: weights[MAX_CONTEXT], SHORT: draw(WEIGHTS), ks[0]: weights[ks[0]]}
+        spec = BoostSpec(weights, AfterSeparator(draw(st.integers(0, v - 1))), max_entries=3)
+    else:
+        spec = BoostSpec(weights=weights, max_entries=3)
     return v, seed, contexts, spec
 
 
@@ -326,6 +345,7 @@ class TestBoostedNextDistBatch:
     def test_equals_stacked_per_item_with_zero_probabilities(self, case):
         v, seed, contexts, spec = case
         _assert_batch_matches_per_item(SparseBackend(v, seed), contexts, spec)
+        _assert_batch_matches_per_item(CachingBackend(SparseBackend(v, seed)), contexts, spec)
 
     def test_all_zero_weights_uniform(self, trained_backend):
         spec = BoostSpec(weights={MAX_CONTEXT: 0.0, 3: 0.0})

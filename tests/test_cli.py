@@ -670,6 +670,22 @@ class TestOtherInputFilesExit2:
         assert rc == 2
         assert str(corpus) in capsys.readouterr().err
 
+    def test_heldout_shorter_than_lag_depth(self, tmp_path, capsys):
+        from cboost.toy_lm import ToyLMParams, save_params
+
+        model = tmp_path / "lag6.tlm"
+        save_params(ToyLMParams.zeros(4, 6), str(model))
+        heldout = tmp_path / "heldout.txt"
+        heldout.write_text("0 1 2", encoding="utf-8")
+        rc = main([
+            "analyze", "--model", str(model), "--heldout", str(heldout),
+            "--k", "2", "--report", str(tmp_path / "a.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "held-out stream has 3 tokens; needs at least 7 (lags + 1)" in err
+        assert not (tmp_path / "a.json").exists()
+
     @pytest.mark.parametrize("via", ["sidecar", "--vocab"])
     def test_malformed_vocabulary(self, workspace, tmp_path, capsys, via):
         _, _, model, items, _ = workspace
