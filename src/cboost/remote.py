@@ -2,22 +2,36 @@
 
 Wire format (JSON bodies, UTF-8):
 
-    GET  /v1/info          -> {"vocab_size": int, "max_context": int, "name": str}
+    GET  /v1/info          -> {"vocab_size": int, "max_context": int, "name": str,
+                               "max_batch_rows": int}
     POST /v1/next_logprobs {"tokens": [int...]}
                            -> {"logprobs": [float x vocab_size]}
+    POST /v1/next_logprobs_batch {"contexts": [[int...]...]}
+                           -> {"logprobs_f64le": str}
     POST /v1/score         {"context": [int...], "continuation": [int...]}
                            -> {"logprob": float, "per_token": [float...]}
 
+``logprobs_f64le`` is the base64 of the (N, vocab_size) matrix of the N
+contexts' next-token log-probabilities: row-major little-endian IEEE
+float64, N * vocab_size * 8 bytes, so every value arrives exactly.  A
+batch holds 1 to ``max_batch_rows`` contexts.  ``max_batch_rows`` is
+optional in ``/v1/info``: the client sends a server that does not give it
+one ``/v1/next_logprobs`` per context instead.  The integer fields of
+``/v1/info`` must be JSON integers, and ``max_batch_rows`` at least 1.
+
 Status 400 signals a contract violation, 503 a transient overload and
 500 an internal server error.  The reference server answers 400 to a
-token list (tokens, context, continuation) that is not a JSON list of
-JSON integers.  It also answers 400, and closes the connection without
-reading the body, when Content-Length is negative or exceeds
-BODY_BYTES_PER_TOKEN bytes per token of the backend's max_context plus
-BODY_ALLOWANCE.  The client retries only transient
-failures (connection errors and 503) three times with exponential
-backoff before giving up; any other status fails at once.  Replies are
-checked at the boundary: a reply must be JSON with the fields above, a
+token list (tokens, context, continuation, each of contexts) that is not
+a JSON list of JSON integers, and to a batch of no contexts or of more
+than ``MAX_BATCH_ROWS``; a batch is checked whole before the backend
+runs.  It also answers 400, and closes the connection without reading
+the body, when Content-Length is negative or exceeds BODY_BYTES_PER_TOKEN
+bytes per token of the backend's max_context plus BODY_ALLOWANCE, a bound
+``MAX_BATCH_ROWS`` times larger for a batch.  The client retries only
+transient failures (connection errors and 503) three times with
+exponential backoff before giving up; any other status fails at once.
+Replies are checked at the boundary: a reply must be JSON with the fields
+above, a batch matrix must have the expected byte length, every
 log-probability vector must be free of NaN and +inf and normalized to
 within ``REPLY_TOL``, and a score must be a non-positive number whose
 ``per_token`` terms, one per continuation token, sum to it.  A reply that
@@ -28,6 +42,7 @@ wraps an in-process backend.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import threading
@@ -38,7 +53,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .backend import Backend, BackendInfo, as_tokens, token_logprobs
+from .backend import Backend, BackendInfo, Tokens, as_tokens, token_logprobs
 from .dist import LogProbs, logsumexp
 from .errors import BackendError, ContractError
 
@@ -53,6 +68,9 @@ REPLY_TOL = 1e-6
 # most 20 digits and a separator in JSON
 BODY_BYTES_PER_TOKEN = 24
 BODY_ALLOWANCE = 4096
+# contexts one /v1/next_logprobs_batch request may carry, as the reference
+# server advertises in /v1/info
+MAX_BATCH_ROWS = 64
 
 
 class RemoteBackend(Backend):
@@ -80,6 +98,7 @@ class RemoteBackend(Backend):
         self._session = session or requests.Session()
         self.tokenizer = tokenizer
         self._info: BackendInfo | None = None
+        self._max_batch_rows: int | None = None  # None: no batch endpoint
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         url = self.base_url + path
@@ -114,31 +133,80 @@ class RemoteBackend(Backend):
         if self._info is None:
             payload = self._request("GET", "/v1/info")
             try:
-                self._info = BackendInfo(
-                    vocab_size=int(payload["vocab_size"]),
-                    max_context=int(payload["max_context"]),
+                info = BackendInfo(
+                    vocab_size=_json_int(payload, "vocab_size"),
+                    max_context=_json_int(payload, "max_context"),
                     name=str(payload["name"]),
                 )
+                rows = _json_int(payload, "max_batch_rows") if "max_batch_rows" in payload else None
+                if rows is not None and rows < 1:
+                    raise ValueError(f"max_batch_rows must be >= 1, got {rows}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed info reply: {exc!r}") from None
+            self._info, self._max_batch_rows = info, rows
         return self._info
 
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
-        context = as_tokens(context)
-        self._check_context(context)
+        return self.next_logprobs_batch([context])[0]
+
+    def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """One /v1/next_logprobs_batch request per ``max_batch_rows``
+        contexts, or one /v1/next_logprobs request per context when the
+        server does not advertise the batch endpoint.  Every reply's rows
+        are checked before the next request is sent."""
+        contexts = [as_tokens(c) for c in contexts]
+        for context in contexts:
+            self._check_context(context)
+        self.info()  # reads max_batch_rows with the rest of /v1/info
+        step = self._max_batch_rows
+        if step is None:
+            chunks, fetch = [[c] for c in contexts], self._json_row
+        else:
+            chunks = [contexts[i : i + step] for i in range(0, len(contexts), step)]
+            fetch = self._binary_rows
+        parts = [self._checked_rows(fetch(chunk), len(chunk)) for chunk in chunks]
+        return np.concatenate(parts) if parts else np.empty((0, self.info().vocab_size))
+
+    def _json_row(self, contexts: list[Tokens]) -> np.ndarray:
+        (context,) = contexts
         payload = self._request("POST", "/v1/next_logprobs", {"tokens": list(context)})
         try:
-            vec = np.asarray(payload["logprobs"], dtype=np.float64)
+            # one row: a list of numbers becomes shape (1, V), anything else not
+            return np.asarray([payload["logprobs"]], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed next_logprobs reply: {exc!r}") from None
-        if vec.shape != (self.info().vocab_size,):
+
+    def _binary_rows(self, contexts: list[Tokens]) -> np.ndarray:
+        payload = self._request(
+            "POST", "/v1/next_logprobs_batch", {"contexts": [list(c) for c in contexts]}
+        )
+        try:
+            raw = base64.b64decode(payload["logprobs_f64le"], validate=True)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendError(f"malformed next_logprobs_batch reply: {exc!r}") from None
+        v = self.info().vocab_size
+        if len(raw) != len(contexts) * v * 8:
+            raise BackendError(
+                f"server returned {len(raw)} bytes for {len(contexts)} rows of "
+                f"{v} float64 log-probabilities"
+            )
+        return np.frombuffer(raw, dtype="<f8").reshape(len(contexts), v)
+
+    def _checked_rows(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """``rows``, the reply for ``n`` contexts, once it has shape
+        (n, vocab_size) and every row is a normalized log-probability vector."""
+        if rows.shape != (n, self.info().vocab_size):
             raise BackendError("server returned a logprob vector of the wrong length")
-        if np.any(np.isnan(vec)) or np.any(vec == np.inf):
+        if np.any(np.isnan(rows)) or np.any(rows == np.inf):
             raise BackendError("server returned a logprob vector with NaN or +inf entries")
-        z = logsumexp(vec)
-        if not abs(z) <= REPLY_TOL:
-            raise BackendError(f"server returned an unnormalized logprob vector: logsumexp={z}")
-        return vec
+        z = logsumexp(rows)
+        bad = np.flatnonzero(~(np.abs(z) <= REPLY_TOL))
+        if bad.size:
+            row = bad[0]
+            raise BackendError(
+                f"server returned an unnormalized logprob vector: logsumexp={z[row]} in row {row}"
+            )
+        return rows
 
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
         context = as_tokens(context)
@@ -165,9 +233,18 @@ class RemoteBackend(Backend):
         return logprob
 
 
-def _token_list(body: dict, field: str) -> tuple[int, ...]:
-    """``body[field]``, which must be a JSON list of JSON integers."""
-    tokens = body[field]
+def _json_int(payload: dict, field: str) -> int:
+    """``payload[field]``, which must be a JSON integer."""
+    value = payload[field]
+    # bool is a subclass of int, and JSON true is not a count
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _token_list(tokens, field: str) -> tuple[int, ...]:
+    """``tokens``, the request's ``field``, which must be a JSON list of
+    JSON integers."""
     # bool is a subclass of int, and JSON true is not a token id
     if not (isinstance(tokens, list) and all(type(t) is int for t in tokens)):
         raise ContractError(f"{field} must be a list of integers")
@@ -195,7 +272,12 @@ class _Handler(BaseHTTPRequestHandler):
         info = self.server.backend.info()  # type: ignore[attr-defined]
         self._send(
             200,
-            {"vocab_size": info.vocab_size, "max_context": info.max_context, "name": info.name},
+            {
+                "vocab_size": info.vocab_size,
+                "max_context": info.max_context,
+                "name": info.name,
+                "max_batch_rows": MAX_BATCH_ROWS,
+            },
         )
 
     def do_POST(self):
@@ -204,7 +286,10 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
-        if not 0 <= length <= BODY_BYTES_PER_TOKEN * backend.info().max_context + BODY_ALLOWANCE:
+        bound = BODY_BYTES_PER_TOKEN * backend.info().max_context + BODY_ALLOWANCE
+        if self.path == "/v1/next_logprobs_batch":
+            bound *= MAX_BATCH_ROWS
+        if not 0 <= length <= bound:
             # the body stays unread, so the connection cannot carry another request
             self.close_connection = True
             self._send(400, {"error": "bad Content-Length"})
@@ -216,11 +301,23 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if self.path == "/v1/next_logprobs":
-                vec = backend.next_logprobs(_token_list(body, "tokens"))
-                self._send(200, {"logprobs": [float(x) for x in vec]})
+                vec = backend.next_logprobs(_token_list(body["tokens"], "tokens"))
+                self._send(200, {"logprobs": np.asarray(vec, dtype=np.float64).tolist()})
+            elif self.path == "/v1/next_logprobs_batch":
+                contexts = body["contexts"]
+                if not (isinstance(contexts, list) and 1 <= len(contexts) <= MAX_BATCH_ROWS):
+                    raise ContractError(
+                        f"contexts must be a list of 1 to {MAX_BATCH_ROWS} token lists"
+                    )
+                contexts = [_token_list(c, "each of contexts") for c in contexts]
+                for context in contexts:
+                    backend._check_context(context)
+                rows = np.ascontiguousarray(backend.next_logprobs_batch(contexts), dtype="<f8")
+                encoded = base64.b64encode(rows.tobytes()).decode("ascii")
+                self._send(200, {"logprobs_f64le": encoded})
             elif self.path == "/v1/score":
-                ctx = _token_list(body, "context")
-                cont = _token_list(body, "continuation")
+                ctx = _token_list(body["context"], "context")
+                cont = _token_list(body["continuation"], "continuation")
                 backend._check_score_args(ctx, cont)
                 per_token = token_logprobs(backend, ctx + cont, len(ctx), backend.info().max_context)
                 logprob = float(np.cumsum(per_token)[-1])  # added in order, as score_continuation

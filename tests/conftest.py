@@ -12,6 +12,7 @@ import pytest
 
 from cboost import cli
 from cboost.backend import Backend, BackendInfo, as_tokens
+from cboost.dist import log_softmax
 from cboost.tasks import make_copy_source_task
 from cboost.toy_lm import (
     ToyBackend,
@@ -62,6 +63,27 @@ class TableBackend(Backend):
                 with np.errstate(divide="ignore"):
                     return np.log(self.table[suffix])
         return np.full(self.vocab_size, -np.log(self.vocab_size))
+
+
+class SparseBackend(Backend):
+    """Seeded random next-token distributions in which some tokens have
+    probability zero (-inf log-probability), one fixed draw per context."""
+
+    def __init__(self, vocab_size: int, seed: int):
+        self._info = BackendInfo(vocab_size, 64, "sparse")
+        self.seed = seed
+
+    def info(self) -> BackendInfo:
+        return self._info
+
+    def next_logprobs(self, context):
+        context = as_tokens(context)
+        self._check_context(context)
+        rng = np.random.default_rng([self.seed, *context])
+        logits = rng.normal(size=self._info.vocab_size) * 2
+        logits[rng.random(logits.size) < 0.3] = -np.inf
+        logits[rng.integers(logits.size)] = 0.0  # at least one live token
+        return log_softmax(logits)
 
 
 class CountingBackend(Backend):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cboost.backend import Backend, BackendInfo, CachingBackend, as_tokens
+from cboost.backend import Backend, CachingBackend
 from cboost.boosting import (
     MAX_CONTEXT,
     SHORT,
@@ -15,13 +15,12 @@ from cboost.boosting import (
     resolve_expert_contexts,
     score_choice,
 )
-from cboost.dist import log_linear_mix, log_softmax
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 from cboost.tasks import eval_last_token
 from cboost.toy_lm import ToyBackend, ToyLMParams
 
-from conftest import TableBackend
+from conftest import SparseBackend, TableBackend
 
 
 class TestBoostSpec:
@@ -237,27 +236,6 @@ class TestGridSearch:
 # ---------------------------------------------------------------------------
 # Batched boosting against the per-item path
 # ---------------------------------------------------------------------------
-
-class SparseBackend(Backend):
-    """Seeded random next-token distributions in which some tokens have
-    probability zero (-inf log-probability), one fixed draw per context."""
-
-    def __init__(self, vocab_size: int, seed: int):
-        self._info = BackendInfo(vocab_size, 64, "sparse")
-        self.seed = seed
-
-    def info(self) -> BackendInfo:
-        return self._info
-
-    def next_logprobs(self, context):
-        context = as_tokens(context)
-        self._check_context(context)
-        rng = np.random.default_rng([self.seed, *context])
-        logits = rng.normal(size=self._info.vocab_size) * 2
-        logits[rng.random(logits.size) < 0.3] = -np.inf
-        logits[rng.integers(logits.size)] = 0.0  # at least one live token
-        return log_softmax(logits)
-
 
 WEIGHTS = st.sampled_from([0.0, 1.0, -1.0, -0.5, 0.25, 1.5, -2.0])
 

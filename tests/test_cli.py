@@ -493,9 +493,9 @@ class TestRemoteEndToEnd:
         local = json.load(open(local_report))
         remote = json.load(open(remote_report))
         assert local["accuracy"] == remote["accuracy"]
-        assert [r["pred"] for r in local["per_item"]] == [
-            r["pred"] for r in remote["per_item"]
-        ]
+        # every record, logprob_target included, to the last bit
+        assert "logprob_target" in local["per_item"][0]
+        assert local["per_item"] == remote["per_item"]
 
     def test_text_task_without_vocab_exit_2(self, workspace, tmp_path, capsys):
         from cboost.remote import BackendServer

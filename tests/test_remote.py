@@ -1,24 +1,28 @@
+import base64
 import http.client
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 import requests
 
 from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs
+from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist_batch
 from cboost.errors import BackendError, ContractError
 from cboost.remote import (
     BODY_ALLOWANCE,
     BODY_BYTES_PER_TOKEN,
+    MAX_BATCH_ROWS,
     REPLY_TOL,
     BackendServer,
     RemoteBackend,
 )
 from cboost.toy_lm import ToyBackend
 
-from conftest import CountingBackend
+from conftest import CountingBackend, SparseBackend
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +34,7 @@ def served(trained_params):
 
 @pytest.fixture(scope="module")
 def counted(trained_params):
-    counting = CountingBackend(ToyBackend(trained_params))
+    counting = CountingBackend(ToyBackend(trained_params, max_context=64))
     with BackendServer(counting) as server:
         yield counting, server
 
@@ -38,6 +42,28 @@ def counted(trained_params):
 def make_client(server, **kw):
     kw.setdefault("backoff_base", 0.01)
     return RemoteBackend(server.url, **kw)
+
+
+class PathRecordingSession(requests.Session):
+    """Records the path of every request the client sends."""
+
+    def __init__(self):
+        super().__init__()
+        self.paths = []
+
+    def request(self, method, url, *args, **kwargs):
+        self.paths.append(urlsplit(url).path)
+        return super().request(method, url, *args, **kwargs)
+
+
+def random_contexts(n, vocab_size, max_len, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_len + 1, n)
+    return [tuple(rng.integers(0, vocab_size, length).tolist()) for length in lengths]
+
+
+def f64le(rows):
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestProtocol:
@@ -48,12 +74,30 @@ class TestProtocol:
         assert info.vocab_size == 8
         assert info.max_context == 64
         assert info.name == local.info().name
+        resp = requests.get(server.url + "/v1/info", timeout=5)
+        assert resp.json()["max_batch_rows"] == MAX_BATCH_ROWS
 
     def test_next_logprobs_roundtrip_exact(self, served):
         local, server = served
         client = make_client(server)
         ctx = (1, 2, 3, 4)
         assert np.array_equal(client.next_logprobs(ctx), local.next_logprobs(ctx))
+
+    def test_next_logprobs_reply_bytes_unchanged(self):
+        vec = np.array([np.log(0.5), np.log(0.25), -np.inf, np.log(0.125), -np.inf, np.log(0.125)])
+
+        class WithZeros(Backend):
+            def info(self):
+                return BackendInfo(6, 16, "with-zeros")
+
+            def next_logprobs(self, context):
+                return vec
+
+        with BackendServer(WithZeros()) as server:
+            resp = requests.post(server.url + "/v1/next_logprobs", json={"tokens": [1]}, timeout=5)
+        assert resp.status_code == 200
+        assert resp.content == json.dumps({"logprobs": [float(x) for x in vec]}).encode("utf-8")
+        assert b"-Infinity" in resp.content
 
     def test_score_roundtrip(self, served):
         local, server = served
@@ -273,7 +317,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     status = 200
     reply: dict = {}
     info = INFO
-    hits = 0
+    paths: list = []  # of the POSTs since start()
 
     def log_message(self, *a):
         pass
@@ -290,7 +334,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         cls = type(self)
-        cls.hits += 1
+        cls.paths.append(self.path)
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self._send(cls.status, cls.reply)
 
@@ -312,7 +356,7 @@ def stub_server(_stub_httpd):
     url, handler = _stub_httpd
 
     def start(reply, status=200, info=None):
-        handler.reply, handler.status, handler.hits = reply, status, 0
+        handler.reply, handler.status, handler.paths = reply, status, []
         handler.info = _StubHandler.INFO if info is None else info
         return RemoteBackend(url, backoff_base=0.01), handler
 
@@ -331,8 +375,10 @@ class TestReplyValidation:
             ([5.0, 1.0, 0.0, 0.0], "unnormalized"),
             ([-np.inf] * 4, "unnormalized"),
             ([QUARTER + 10 * REPLY_TOL] * 4, "unnormalized"),
+            ([QUARTER] * 3, "wrong length"),
+            ([[QUARTER] * 4], "wrong length"),
         ],
-        ids=["nan", "pos-inf", "unnormalized", "all-neg-inf", "past-tolerance"],
+        ids=["nan", "pos-inf", "unnormalized", "all-neg-inf", "past-tolerance", "short", "nested"],
     )
     def test_bad_logprob_vector_is_backend_error(self, stub_server, logprobs, match):
         client, _ = stub_server({"logprobs": logprobs})
@@ -381,8 +427,21 @@ class TestReplyValidation:
     @pytest.mark.parametrize(
         "info",
         [{"vocab_size": 4}, {"vocab_size": "many", "max_context": 16, "name": "x"},
-         {"vocab_size": 1, "max_context": 16, "name": "x"}],
-        ids=["missing-fields", "wrong-type", "vocab-too-small"],
+         {"vocab_size": 1, "max_context": 16, "name": "x"},
+         {"vocab_size": 8.5, "max_context": 16, "name": "x"},
+         {"vocab_size": "8", "max_context": 16, "name": "x"},
+         {"vocab_size": True, "max_context": 16, "name": "x"},
+         {"vocab_size": 4, "max_context": 16.0, "name": "x"},
+         {"vocab_size": 4, "max_context": True, "name": "x"},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": 0},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": -3},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": 8.0},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": "8"},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": True},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": None}],
+        ids=["missing-fields", "wrong-type", "vocab-too-small", "vocab-float", "vocab-string",
+             "vocab-bool", "context-float", "context-bool", "rows-zero", "rows-negative",
+             "rows-float", "rows-string", "rows-bool", "rows-null"],
     )
     def test_malformed_info_is_backend_error(self, stub_server, info):
         client, _ = stub_server({}, info=info)
@@ -414,7 +473,7 @@ class TestServerErrors:
         client, handler = stub_server({"error": "boom"}, status=500)
         with pytest.raises(BackendError, match="HTTP 500"):
             client.next_logprobs((0,))
-        assert handler.hits == 1
+        assert handler.paths == ["/v1/next_logprobs"]
 
     def test_internal_error_is_500(self):
         class Broken(Backend):
@@ -428,3 +487,173 @@ class TestServerErrors:
             resp = requests.post(server.url + "/v1/next_logprobs", json={"tokens": [1]}, timeout=5)
             assert resp.status_code == 500
             assert "model crashed" in resp.json()["error"]
+
+
+BATCH_INFO = dict(_StubHandler.INFO, max_batch_rows=8)
+
+
+class TestBatchExactness:
+    @pytest.mark.parametrize(
+        "n, requests_sent", [(1, 1), (MAX_BATCH_ROWS, 1), (MAX_BATCH_ROWS + 1, 2)]
+    )
+    def test_batch_equals_in_process_bit_for_bit(self, served, n, requests_sent):
+        local, server = served
+        session = PathRecordingSession()
+        client = make_client(server, session=session)
+        contexts = random_contexts(n, local.info().vocab_size, local.info().max_context, seed=n)
+        got = client.next_logprobs_batch(contexts)
+        assert np.array_equal(got, local.next_logprobs_batch(contexts))
+        assert session.paths == ["/v1/info"] + ["/v1/next_logprobs_batch"] * requests_sent
+
+    def test_zero_probability_rows_bit_for_bit(self):
+        local = SparseBackend(16, seed=3)
+        with BackendServer(local) as server:
+            client = make_client(server)
+            contexts = random_contexts(MAX_BATCH_ROWS + 1, 16, 64, seed=4)
+            got = client.next_logprobs_batch(contexts)
+        want = local.next_logprobs_batch(contexts)
+        assert np.isneginf(want).any()
+        assert np.array_equal(got, want)
+
+    def test_one_row_is_next_logprobs(self, served):
+        local, server = served
+        session = PathRecordingSession()
+        client = make_client(server, session=session)
+        assert np.array_equal(client.next_logprobs((5, 1, 7)), local.next_logprobs((5, 1, 7)))
+        assert session.paths == ["/v1/info", "/v1/next_logprobs_batch"]
+
+    def test_empty_batch_sends_no_request(self, served):
+        _, server = served
+        session = PathRecordingSession()
+        client = make_client(server, session=session)
+        assert client.next_logprobs_batch([]).shape == (0, 8)
+        assert session.paths == ["/v1/info"]
+
+    def test_boosted_batch_through_cache_equals_in_process(self, served):
+        local, server = served
+        spec = BoostSpec(weights={MAX_CONTEXT: 1.5, 2: -0.5})
+        contexts = random_contexts(40, local.info().vocab_size, 12, seed=9)
+        client = CachingBackend(make_client(server))
+        got = boosted_next_dist_batch(client, contexts, spec)
+        assert np.array_equal(got, boosted_next_dist_batch(local, contexts, spec))
+
+    def test_server_without_batch_endpoint_gets_one_json_request_per_row(self, stub_server):
+        vec = [float(np.log(0.5)), -np.inf, float(np.log(0.25)), float(np.log(0.25))]
+        client, handler = stub_server({"logprobs": vec})
+        got = client.next_logprobs_batch([(0,), (1, 2), (3,)])
+        assert handler.paths == ["/v1/next_logprobs"] * 3
+        assert np.array_equal(got, np.array([vec] * 3))
+
+
+class TestBatchReplyValidation:
+    @pytest.mark.parametrize(
+        "reply, match",
+        [
+            ({"logprobs_f64le": "not base64!"}, "malformed"),
+            # decodes to three good rows once the stray character is skipped
+            ({"logprobs_f64le": "*" + f64le([[QUARTER] * 4] * 3)}, "malformed"),
+            ({"logprobs_f64le": f64le([[QUARTER] * 4] * 3)[:-1]}, "malformed"),
+            ({"logprobs_f64le": f64le([[QUARTER] * 4] * 2)}, "bytes for 3 rows"),
+            ({"logprobs_f64le": f64le([[QUARTER] * 4] * 4)}, "bytes for 3 rows"),
+            ({"logprobs": [[QUARTER] * 4] * 3}, "malformed"),
+            ({"logprobs_f64le": 7}, "malformed"),
+            ({"logprobs_f64le": f64le([[QUARTER] * 4, [float("nan")] + [QUARTER] * 3,
+                                       [QUARTER] * 4])}, "NaN"),
+            ({"logprobs_f64le": f64le([[QUARTER] * 4, [QUARTER] * 4, [5.0, 1.0, 0.0, 0.0]])},
+             "unnormalized.*row 2"),
+        ],
+        ids=["bad-base64", "stray-character", "bad-padding", "too-few-bytes", "too-many-bytes",
+             "missing-field", "not-a-string", "nan-row", "unnormalized-row"],
+    )
+    def test_bad_batch_reply_is_backend_error_without_retry(self, stub_server, reply, match):
+        client, handler = stub_server(reply, info=BATCH_INFO)
+        with pytest.raises(BackendError, match=match):
+            client.next_logprobs_batch([(0,), (1, 2), (3,)])
+        assert handler.paths == ["/v1/next_logprobs_batch"]
+
+    def test_good_batch_reply_accepted(self, stub_server):
+        rows = [[QUARTER] * 4, [float(np.log(0.5)), float(np.log(0.5)), -np.inf, -np.inf]]
+        client, handler = stub_server({"logprobs_f64le": f64le(rows)}, info=BATCH_INFO)
+        assert np.array_equal(client.next_logprobs_batch([(0,), (1,)]), rows)
+
+    def test_chunks_follow_advertised_rows(self, stub_server):
+        client, handler = stub_server({"logprobs_f64le": f64le([[QUARTER] * 4] * 3)},
+                                      info=dict(BATCH_INFO, max_batch_rows=3))
+        assert client.next_logprobs_batch([(0,)] * 9).shape == (9, 4)
+        assert handler.paths == ["/v1/next_logprobs_batch"] * 3
+
+
+class TestBatchServerErrors:
+    @pytest.mark.parametrize(
+        "contexts, match",
+        [
+            ([], "1 to"),
+            ([[1]] * (MAX_BATCH_ROWS + 1), "1 to"),
+            ("[[1]]", "1 to"),
+            ([[True]], "must be a list of integers"),
+            ([[1, 2], [1.0]], "must be a list of integers"),
+            ([[1, 2], 3], "must be a list of integers"),
+            ([[1, 2], []], "non-empty"),
+            ([[1, 2], [1] * 65], "max_context"),
+        ],
+        ids=["no-rows", "too-many-rows", "not-a-list", "bool-token", "float-token",
+             "int-context", "empty-context", "over-max-context"],
+    )
+    def test_bad_batch_is_400_before_the_backend_runs(self, counted, contexts, match):
+        counting, server = counted
+        calls = counting.logprob_calls
+        resp = requests.post(
+            server.url + "/v1/next_logprobs_batch", json={"contexts": contexts}, timeout=5
+        )
+        assert resp.status_code == 400
+        assert match in resp.json()["error"]
+        assert counting.logprob_calls == calls
+
+    def test_out_of_range_token_is_400(self, served):
+        _, server = served
+        resp = requests.post(
+            server.url + "/v1/next_logprobs_batch", json={"contexts": [[1], [99]]}, timeout=5
+        )
+        assert resp.status_code == 400
+
+    def test_missing_field_is_400(self, served):
+        _, server = served
+        resp = requests.post(
+            server.url + "/v1/next_logprobs_batch", json={"tokens": [1]}, timeout=5
+        )
+        assert resp.status_code == 400
+
+    def test_content_length_over_scaled_bound_is_400_without_reading(self, served):
+        local, server = served
+        bound = MAX_BATCH_ROWS * (BODY_BYTES_PER_TOKEN * local.info().max_context + BODY_ALLOWANCE)
+        host, port = server.url[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=3)
+        conn.putrequest("POST", "/v1/next_logprobs_batch")
+        conn.putheader("Content-Length", str(bound + 1))
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
+        conn.close()
+
+    def test_body_at_the_scaled_bound_is_read(self, served):
+        local, server = served
+        bound = MAX_BATCH_ROWS * (BODY_BYTES_PER_TOKEN * local.info().max_context + BODY_ALLOWANCE)
+        body = json.dumps({"contexts": [[1, 2], [3]]}).ljust(bound).encode()
+        resp = requests.post(server.url + "/v1/next_logprobs_batch", data=body, timeout=5)
+        assert resp.status_code == 200
+        rows = np.frombuffer(base64.b64decode(resp.json()["logprobs_f64le"]), dtype="<f8")
+        assert np.array_equal(rows.reshape(2, 8), local.next_logprobs_batch([(1, 2), (3,)]))
+
+    def test_internal_error_is_500(self):
+        class Broken(Backend):
+            def info(self):
+                return BackendInfo(4, 16, "broken")
+
+            def next_logprobs(self, context):
+                raise RuntimeError("model crashed")
+
+        with BackendServer(Broken()) as server:
+            client = make_client(server)
+            with pytest.raises(BackendError, match="HTTP 500"):
+                client.next_logprobs_batch([(1,), (2,)])
