@@ -129,9 +129,10 @@ def resolve_expert_contexts(
     Zero-weight entries are dropped.  Fixed lengths >= len(context) collapse
     into the full-context expert with weights summed, so the mixture never
     evaluates the same context twice.  Under an after-separator policy an
-    empty suffix drops the short expert (the step is unboosted).
+    empty suffix drops the short expert (the step is unboosted).  A tuple
+    context is used as it is (``_as_tuple``).
     """
-    context = as_tokens(context)
+    context = _as_tuple(context)
     keeps, weights = _plan(context, spec)
     return [(context[-m:], w) for m, w in zip(keeps, weights)]
 

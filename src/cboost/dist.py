@@ -19,6 +19,7 @@ Everything here is pure and reentrant; arrays are never mutated in place.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Sequence
 
@@ -35,13 +36,22 @@ Probs = np.ndarray
 LOG_FLOOR = float(np.log(1e-10))
 
 
+def _shifted_logsumexp(values: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m + log(sum(exp(values - m))) along the last axis, kept as a
+    length-1 axis; ``m`` is each row's max, or 0 for an all -inf row."""
+    return m + np.log(np.exp(values - m).sum(axis=-1, keepdims=True))
+
+
 def _logsumexp(values: np.ndarray) -> np.ndarray:
     """logsumexp of a float64 array along its last axis, kept as a
     length-1 axis."""
     m = values.max(axis=-1, keepdims=True)
-    m[m == -np.inf] = 0.0  # an all -inf row then sums to 0 and logs to -inf
+    empty = m == -np.inf
+    if not empty.any():
+        return _shifted_logsumexp(values, m)
+    m[empty] = 0.0  # an all -inf row then sums to 0 and logs to -inf
     with np.errstate(divide="ignore"):
-        return m + np.log(np.exp(values - m).sum(axis=-1, keepdims=True))
+        return _shifted_logsumexp(values, m)
 
 
 def logsumexp(values: np.ndarray) -> float | np.ndarray:
@@ -71,8 +81,17 @@ def softmax(logits: Sequence[float] | np.ndarray) -> Probs:
 
 def log_softmax(logits: Sequence[float] | np.ndarray) -> LogProbs:
     """Normalize logits into log-probabilities (logsumexp shifted to 0),
-    row by row for a matrix."""
+    row by row for a matrix.
+
+    Raises ContractError on NaN input and on a row that is all -inf.
+    When every row's max is finite (no NaN, no all -inf row, no +inf),
+    the fast path does the checked path's float operations and nothing
+    else: -inf entries stay -inf because their row's logsumexp is finite.
+    """
     logits = np.asarray(logits, dtype=np.float64)
+    m = logits.max(axis=-1, keepdims=True)
+    if np.isfinite(m).all():
+        return logits - _shifted_logsumexp(logits, m)
     if np.isnan(logits).any():
         raise ContractError("log_softmax input contains NaN")
     z = _logsumexp(logits)
@@ -103,7 +122,7 @@ def log_linear_mix(experts: Sequence[LogProbs], weights: Sequence[float]) -> Log
     if len(experts) != len(weights):
         raise ContractError("experts and weights must have equal length")
     weights = [float(w) for w in weights]
-    if any(not np.isfinite(w) for w in weights):
+    if not all(map(math.isfinite, weights)):
         raise ContractError("weights must be finite")
     shape = np.shape(experts[0])
     active = [(np.asarray(e, dtype=np.float64), w) for e, w in zip(experts, weights) if w != 0.0]
@@ -116,15 +135,17 @@ def log_linear_mix(experts: Sequence[LogProbs], weights: Sequence[float]) -> Log
     if len(active) == 1 and active[0][1] == 1.0:
         return active[0][0].copy()
 
-    forced_zero = np.zeros(shape, dtype=bool)
-    total = np.zeros(shape)
+    forced_zero = None  # where a positively weighted expert gives zero
+    total = np.zeros(shape)  # 0.0 + w * e: a -0.0 product sums to +0.0
     for e, w in active:
         if w > 0:
-            forced_zero |= e == -np.inf
+            zero = e == -np.inf
+            forced_zero = zero if forced_zero is None else forced_zero | zero
         else:
             e = np.maximum(e, LOG_FLOOR)
         total = total + w * e
-    total[forced_zero] = -np.inf
+    if forced_zero is not None:
+        total[forced_zero] = -np.inf
     return log_softmax(total)
 
 
@@ -190,7 +211,7 @@ def sample(dist: Probs, rng: np.random.Generator) -> int:
     dist = np.asarray(dist, dtype=np.float64)
     csum = np.cumsum(dist)
     u = rng.random() * csum[-1]
-    return int(np.searchsorted(csum, u, side="right").clip(0, dist.size - 1))
+    return min(int(np.searchsorted(csum, u, side="right")), dist.size - 1)
 
 
 def argmax_token(values: np.ndarray) -> int:

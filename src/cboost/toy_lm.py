@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .backend import Backend, BackendInfo, Tokens, as_tokens
+from .backend import Backend, BackendInfo, Tokens, _as_tuple, as_tokens
 from .dist import LogProbs, log_softmax
 from .errors import ContractError
 from .rng import named_rng
@@ -294,6 +294,12 @@ def load_params(path: str) -> ToyLMParams:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise ContractError(f"not a toy LM parameter file: {path}")
+    if len(blob) < 12:
+        raise ContractError(f"corrupt parameter file: {len(blob) - 4} header bytes, expected 8")
+    if (len(blob) - 12) % 8:
+        raise ContractError(
+            f"corrupt parameter file: body of {len(blob) - 12} bytes is not whole float64s"
+        )
     v, m = struct.unpack("<II", blob[4:12])
     arr = np.frombuffer(blob[12:], dtype="<f8")
     expected = v + m * v * v
@@ -385,10 +391,12 @@ class ToyBackend(Backend):
         return self._info
 
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
-        context = as_tokens(context)
+        """A tuple context is used as it is (``_as_tuple``); only the lag
+        window is copied to ints, and the range check reads every token."""
+        context = _as_tuple(context)
         self._check_context(context)
         self._check_ids([context])
-        return log_softmax(self.params.logits(context[-self.params.lag_depth :][::-1]))
+        return log_softmax(self.params.logits(as_tokens(context[-self.params.lag_depth :][::-1])))
 
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
         """One ``ToyLMParams.logits`` call per lag window length, on the

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from cboost.boosting import (
     resolve_expert_contexts,
     score_choice,
 )
+from cboost.decode import GenConfig, generate
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 from cboost.tasks import eval_last_token
@@ -357,3 +360,85 @@ class TestBoostedNextDistBatch:
         spec = BoostSpec(weights={MAX_CONTEXT: 1.0, 2: -0.5})
         boosted_next_dist_batch(Recording(), [[1, 2, 3], (4, 5, 6)], spec)
         assert seen == [[(1, 2, 3), (2, 3), (4, 5, 6), (5, 6)]]
+
+
+class TestTupleContextsPassThrough:
+    """A tuple context is used as it is, not copied to Python ints: a tuple
+    of numpy ints, a list and an array of the same ids give the same rows,
+    expert contexts and generations as the int tuple, and the range check
+    still reads every token."""
+
+    V, LAGS = 16, 3
+
+    @pytest.fixture(scope="class")
+    def backend(self):
+        rng = named_rng(17, "tuple-pass-through")
+        params = ToyLMParams(rng.normal(size=self.V), rng.normal(size=(self.LAGS, self.V, self.V)))
+        return ToyBackend(params)
+
+    @staticmethod
+    def forms(ids):
+        """The same context as an int tuple (the reference), a tuple of
+        np.int64, a list and an array."""
+        return [
+            tuple(ids),
+            tuple(np.asarray(ids, dtype=np.int64)),
+            list(ids),
+            np.asarray(ids, dtype=np.int64),
+        ]
+
+    def contexts(self):
+        rng = named_rng(18, "tuple-pass-through-contexts")
+        return [tuple(rng.integers(0, self.V, size=n).tolist()) for n in (1, 2, 3, 5, 8, 8)]
+
+    def test_next_logprobs_rows(self, backend):
+        for ids in self.contexts():
+            ref, *others = [backend.next_logprobs(c) for c in self.forms(ids)]
+            for row in others:
+                assert row.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [BoostSpec.fixed_k(2, -0.5), BoostSpec.fixed_k(6, 0.5), BoostSpec.after_separator(3, -0.3)],
+        ids=["k2", "k6-collapse", "after-separator"],
+    )
+    def test_resolve_expert_contexts(self, backend, spec):
+        for ids in self.contexts():
+            ref, *others = [resolve_expert_contexts(c, spec) for c in self.forms(ids)]
+            assert all(type(t) is int for ctx, _ in ref for t in ctx)
+            for experts in others:
+                assert experts == ref
+                assert all(type(ctx) is tuple for ctx, _ in experts)
+            boosted = [boosted_next_dist(backend, c, spec) for c in self.forms(ids)]
+            assert all(b.tobytes() == boosted[0].tobytes() for b in boosted)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GenConfig(max_new_tokens=12, mode="greedy"),
+            GenConfig(max_new_tokens=12, mode="sample", top_p=0.9, seed=4),
+            GenConfig(max_new_tokens=5, mode="beam", beam_width=4),
+        ],
+        ids=["greedy", "top-p", "beam"],
+    )
+    def test_generate_tokens(self, backend, cfg):
+        cfg = replace(cfg, boost=BoostSpec.fixed_k(2, -0.3))
+        for ids in self.contexts()[:3]:
+            ref, *others = [generate(backend, c, cfg).tokens for c in self.forms(ids)]
+            assert type(ref) is tuple and all(type(t) is int for t in ref)
+            assert others == [ref] * len(others)
+
+    def test_bool_tokens_read_as_ints(self, backend):
+        # a bool indexes a numpy table as a mask, so the lag window goes to ints
+        for context in [(True,), (np.True_, False, True, True), (1, 0, True)]:
+            want = backend.next_logprobs(tuple(int(t) for t in context))
+            assert backend.next_logprobs(context).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_out_of_range_id_before_the_lag_window(self, backend, bad):
+        ids = (bad, 1, 2, 3, 4)  # the model reads only the last 3
+        for context in (ids, tuple(np.asarray(ids, dtype=np.int64))):
+            with pytest.raises(ContractError, match="token id out of range"):
+                backend.next_logprobs(context)
+            with pytest.raises(ContractError, match="token id out of range"):
+                boosted_next_dist(backend, context, BoostSpec.fixed_k(2, -0.5))

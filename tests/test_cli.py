@@ -686,6 +686,36 @@ class TestOtherInputFilesExit2:
         assert "held-out stream has 3 tokens; needs at least 7 (lags + 1)" in err
         assert not (tmp_path / "a.json").exists()
 
+    def test_model_header_truncated(self, workspace, tmp_path, capsys):
+        # "TLM1" and 5 of the 8 header bytes: struct.unpack must not run
+        _, _, _, items, _ = workspace
+        model = tmp_path / "short.tlm"
+        model.write_bytes(b"TLM1" + b"\x08\x00\x00\x00\x02")
+        rc = main([
+            "eval", "--task", "lasttoken", "--data", str(items), "--backend", f"toy:{model}",
+            "--alpha", "0", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "corrupt parameter file: 5 header bytes, expected 8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_model_body_not_whole_float64s(self, workspace, tmp_path, capsys):
+        # a valid model with 3 bytes cut off its end: np.frombuffer must not run
+        _, _, model, items, _ = workspace
+        cut = tmp_path / "cut.tlm"
+        cut.write_bytes(model.read_bytes()[:-3])
+        rc = main([
+            "eval", "--task", "lasttoken", "--data", str(items), "--backend", f"toy:{cut}",
+            "--alpha", "0", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "is not whole float64s" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("via", ["sidecar", "--vocab"])
     def test_malformed_vocabulary(self, workspace, tmp_path, capsys, via):
         _, _, model, items, _ = workspace

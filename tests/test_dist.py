@@ -307,3 +307,180 @@ class TestSample:
         d = np.array([0.5, 0.0, 0.5])
         rng = named_rng(7, "sample-zero")
         assert all(sample(d, rng) != 1 for _ in range(2000))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the kernels against their checked-everywhere versions.
+# The oracles below are log_softmax, _logsumexp and log_linear_mix as they
+# were before log_softmax gained its finite-max fast path; every input must
+# give the same bytes, or the same exception and message, and the same
+# numpy warnings.
+# ---------------------------------------------------------------------------
+
+
+def oracle_logsumexp(values):
+    m = values.max(axis=-1, keepdims=True)
+    m[m == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.exp(values - m).sum(axis=-1, keepdims=True))
+
+
+def oracle_log_softmax(logits):
+    logits = np.asarray(logits, dtype=np.float64)
+    if np.isnan(logits).any():
+        raise ContractError("log_softmax input contains NaN")
+    z = oracle_logsumexp(logits)
+    if (z == -np.inf).any():
+        raise ContractError("degenerate distribution")
+    with np.errstate(invalid="ignore"):
+        out = logits - z
+    out[logits == -np.inf] = -np.inf
+    return out
+
+
+def oracle_log_linear_mix(experts, weights):
+    if len(experts) == 0:
+        raise ContractError("log_linear_mix needs at least one expert")
+    if len(experts) != len(weights):
+        raise ContractError("experts and weights must have equal length")
+    weights = [float(w) for w in weights]
+    if any(not np.isfinite(w) for w in weights):
+        raise ContractError("weights must be finite")
+    shape = np.shape(experts[0])
+    active = [(np.asarray(e, dtype=np.float64), w) for e, w in zip(experts, weights) if w != 0.0]
+    for e, _ in active:
+        if e.shape != shape:
+            raise ContractError("experts must all have the same length")
+    if not active:
+        return np.full(shape, -np.log(shape[-1]))
+    if len(active) == 1 and active[0][1] == 1.0:
+        return active[0][0].copy()
+    forced_zero = np.zeros(shape, dtype=bool)
+    total = np.zeros(shape)
+    for e, w in active:
+        if w > 0:
+            forced_zero |= e == -np.inf
+        else:
+            e = np.maximum(e, LOG_FLOOR)
+        total = total + w * e
+    total[forced_zero] = -np.inf
+    return oracle_log_softmax(total)
+
+
+SPECIAL = [-np.inf, np.inf, np.nan, 0.0, -0.0, LOG_FLOOR]
+ENTRY = st.one_of(
+    st.floats(-60, 60),
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# a row's entries: anything, log-prob-like (finite, -inf, signed zeros), or all -inf
+ROW_KINDS = {
+    "mixed": ENTRY,
+    "logprob": st.one_of(st.floats(-60, 0), st.sampled_from([-np.inf, 0.0, -0.0])),
+    "dead": st.just(-np.inf),
+}
+
+
+@st.composite
+def shapes(draw):
+    v = draw(st.integers(1, 6))
+    return (v,) if draw(st.booleans()) else (draw(st.integers(0, 4)), v)
+
+
+@st.composite
+def arrays(draw, shape):
+    rows = []
+    for _ in range(int(np.prod(shape[:-1], dtype=int))):
+        kind = draw(st.sampled_from(["mixed", "mixed", "logprob", "logprob", "dead"]))
+        rows.append(draw(st.lists(ROW_KINDS[kind], min_size=shape[-1], max_size=shape[-1])))
+    return np.array(rows, dtype=np.float64).reshape(shape)
+
+
+WEIGHT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, np.nan, np.inf]),
+    st.floats(-3, 3),
+)
+
+
+def _outcome(fn, *args):
+    """What fn(*args) does: ("value", array) or ("raise", type, message),
+    with the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("value", fn(*args))
+        except Exception as exc:  # compared, not handled
+            result = ("raise", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcome(new, old):
+    (got, got_warnings), (want, want_warnings) = new, old
+    assert got[0] == want[0], (got, want)
+    assert got_warnings == want_warnings
+    if got[0] == "raise":
+        assert got[1:] == want[1:]
+        return
+    a, b = got[1], want[1]
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))  # -0.0 stays -0.0
+
+
+class TestKernelsMatchCheckedOracle:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_log_softmax(self, data):
+        logits = data.draw(shapes().flatmap(arrays))
+        before = logits.copy()
+        assert_same_outcome(_outcome(log_softmax, logits), _outcome(oracle_log_softmax, logits))
+        assert np.array_equal(logits, before, equal_nan=True)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_log_linear_mix(self, data):
+        shape = data.draw(shapes())
+        n = data.draw(st.integers(1, 3))
+        experts = [data.draw(arrays(shape)) for _ in range(n)]
+        weights = data.draw(st.lists(WEIGHT, min_size=n, max_size=n))
+        assert_same_outcome(
+            _outcome(log_linear_mix, experts, weights),
+            _outcome(oracle_log_linear_mix, experts, weights),
+        )
+
+    @pytest.mark.parametrize(
+        "experts, weights",
+        [
+            ([[-np.inf, -0.0]], [0.5]),  # the sum starts at +0.0: 0.0 + -0.0 is +0.0
+            ([[-0.0]], [0.5]),
+            ([[-np.inf, 0.0], [-1.0, 0.0]], [0.5, -0.5]),  # -0.5 * 0.0 is -0.0
+            ([[[0.0, -np.inf], [-np.inf, -np.inf]], [[0.0, -1.0], [-2.0, -3.0]]], [1.0, -0.5]),
+            ([[np.nan, -1.0], [-np.inf, -1.0]], [1.0, 0.5]),  # NaN masked by the other's zero
+            ([[np.nan, -1.0], [-np.inf, -1.0]], [1.0, -0.5]),
+            ([[np.inf, -1.0], [-np.inf, -1.0]], [1.0, 1.0]),
+        ],
+    )
+    def test_log_linear_mix_cases(self, experts, weights):
+        experts = [np.array(e) for e in experts]
+        assert_same_outcome(
+            _outcome(log_linear_mix, experts, weights),
+            _outcome(oracle_log_linear_mix, experts, weights),
+        )
+
+    @pytest.mark.parametrize(
+        "logits, message",
+        [
+            ([0.0, np.nan, -np.inf], "log_softmax input contains NaN"),
+            ([[0.0, 1.0], [-np.inf, -np.inf]], "degenerate distribution"),
+            ([-np.inf], "degenerate distribution"),
+        ],
+    )
+    def test_checked_path_errors(self, logits, message):
+        with pytest.raises(ContractError, match=message):
+            log_softmax(np.array(logits))
+
+    def test_fast_path_keeps_minus_inf_and_signed_zero(self):
+        # row 0's logsumexp is -0.0 + log(1) = +0.0, and -0.0 - 0.0 is -0.0
+        out = log_softmax(np.array([[-np.inf, -0.0], [3.0, -np.inf]]))
+        assert out.tolist() == [[-np.inf, 0.0], [0.0, -np.inf]]
+        assert np.signbit(out).tolist() == [[True, True], [False, True]]
