@@ -14,13 +14,14 @@ of the actual NLL curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dist import log_softmax, logsumexp
-from .errors import ContractError
+from .errors import ContractError, NumericalGuardError
 from .toy_lm import LossProfile, ToyLMParams, heldout_view
 
 DEFAULT_PROBES = (0.05, 0.1)
@@ -59,8 +60,8 @@ def boost_derivative_check(
     positive exponent actually went below the base NLL.  The probe is a
     local first-order claim, so it is reported, not asserted.
     """
-    if h <= 0:
-        raise ContractError("finite-difference step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ContractError(f"finite-difference step h must be finite and positive, got {h}")
     m = params.lag_depth
     if not (1 <= k <= m):
         raise ContractError(f"k must be in [1, {m}]")
@@ -75,13 +76,19 @@ def boost_derivative_check(
     analytic = (loss_full - loss_short) + mean_kl
 
     def nll(t: float) -> float:
-        mix = (1.0 + t) * lf_full - t * lf_short
-        return float(np.mean(logsumexp(mix) - mix[rows, targets]))
+        # a t so large that the mix overflows is caught by the guard below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = (1.0 + t) * lf_full - t * lf_short
+            return float(np.mean(logsumexp(mix) - mix[rows, targets]))
 
     fd = (nll(h) - nll(-h)) / (2.0 * h)
     probe_nll = {0.0: nll(0.0)}
     for t in DEFAULT_PROBES:
         probe_nll[float(t)] = nll(float(t))
+    if not all(map(math.isfinite, [fd, *probe_nll.values()])):
+        raise NumericalGuardError(
+            f"held-out NLL of the boosted mix is not finite near t = 0 (h={h:g})"
+        )
     improvement = analytic < 0
     probe_improved = any(
         probe_nll[t] < probe_nll[0.0] for t in probe_nll if t != 0.0

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .backend import Backend, BackendInfo, Tokens, _as_tuple, as_tokens
-from .dist import LogProbs, log_softmax
+from .dist import LogProbs, log_softmax, many_narrow_rows
 from .errors import ContractError
 from .rng import named_rng
 
@@ -37,6 +37,8 @@ class ToyLMParams:
         self.lag_tables = np.asarray(self.lag_tables, dtype=np.float64)
         if self.bias.ndim != 1 or self.lag_tables.ndim != 3:
             raise ContractError("bias must be (V,), lag_tables (M, V, V)")
+        if self.lag_tables.shape[0] < 1:
+            raise ContractError("lag depth must be at least 1")
         v = self.bias.shape[0]
         if self.lag_tables.shape[1:] != (v, v):
             raise ContractError("lag table shape does not match vocab size")
@@ -67,6 +69,11 @@ class ToyLMParams:
         if not len(recent):
             raise ContractError("context must be non-empty")
         tables = self.lag_tables
+        if self._takes(recent):
+            z = self.bias + tables[0].take(recent[0], axis=0)
+            for table, tokens in zip(tables[1:], recent[1:]):
+                z += table.take(tokens, axis=0)
+            return z
         z = self.bias + tables[0][recent[0]]
         for table, tokens in zip(tables[1:], recent[1:]):
             z += table[tokens]
@@ -75,12 +82,24 @@ class ToyLMParams:
     def prefix_logprobs(self, recent) -> Iterator[np.ndarray]:
         """``log_softmax(self.logits(recent[:k]))`` for k = 1..len(recent),
         each from the last by adding one lag."""
+        take = self._takes(recent)
         tables = self.lag_tables
         z = np.broadcast_to(self.bias, np.shape(recent)[1:] + self.bias.shape).copy()
         for k, tokens in enumerate(recent):
             if k < len(tables):
-                z += tables[k][tokens]
+                z += tables[k].take(tokens, axis=0) if take else tables[k][tokens]
             yield log_softmax(z)
+
+    def _takes(self, recent) -> bool:
+        """Whether to gather lag-table rows for ``recent`` with ``take``: for
+        a (lags, N) id array whose (N, V) output is many narrow rows, where
+        it costs a fraction of indexing.  Elsewhere the rows are indexed,
+        and a single context's ``table[int]`` is a view."""
+        return (
+            isinstance(recent, np.ndarray)
+            and recent.ndim == 2
+            and many_narrow_rows(recent.shape[1], self.bias.shape[0])
+        )
 
     def add_logit_gradient(self, recent, g: np.ndarray, lengths: np.ndarray | None = None) -> None:
         """Accumulate into these parameters (as a gradient) ``g``, the (N, V)

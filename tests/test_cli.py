@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shlex
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -715,6 +717,55 @@ class TestOtherInputFilesExit2:
         assert "is not whole float64s" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "generate"])
+    def test_model_lag_depth_zero(self, workspace, tmp_path, capsys, command):
+        # a well-formed file whose header gives lag depth 0 (just the bias),
+        # next to the workspace model's vocabulary
+        _, _, trained, items, prompts = workspace
+        model = tmp_path / "lag0.tlm"
+        model.write_bytes(b"TLM1" + struct.pack("<II", 8, 0) + np.zeros(8).tobytes())
+        shutil.copy(vocab_sidecar_path(str(trained)), vocab_sidecar_path(str(model)))
+        out = tmp_path / "out.json"
+        if command == "eval":
+            argv = ["eval", "--task", "lasttoken", "--data", str(items), "--alpha", "0", "--report", str(out)]
+        else:
+            argv = ["generate", "--prompts", str(prompts), "--max-new-tokens", "4", "--out", str(out)]
+        rc = main(argv + ["--backend", f"toy:{model}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "lag depth must be at least 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_analyze_step_not_finite_positive(self, workspace, tmp_path, capsys, h):
+        _, corpus, model, _, _ = workspace
+        report = tmp_path / "a.json"
+        rc = main([
+            "analyze", "--model", str(model), "--heldout", str(corpus),
+            "--k", "2", f"--h={h}", "--report", str(report),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "finite-difference step h must be finite and positive" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
+    def test_analyze_step_overflows_mix(self, workspace, tmp_path, capsys):
+        # 1e308 is a finite step, but (1 + h) * log f_max overflows: the
+        # finite difference would be NaN
+        _, corpus, model, _, _ = workspace
+        report = tmp_path / "a.json"
+        rc = main([
+            "analyze", "--model", str(model), "--heldout", str(corpus),
+            "--k", "2", "--h", "1e308", "--report", str(report),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "held-out NLL of the boosted mix is not finite" in err
+        assert "Traceback" not in err
+        assert not report.exists()
 
     @pytest.mark.parametrize("via", ["sidecar", "--vocab"])
     def test_malformed_vocabulary(self, workspace, tmp_path, capsys, via):

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from cboost.dist import (
     LOG_FLOOR,
+    MANY_ROWS,
+    NARROW_WIDTH,
     apply_temperature,
     kl_divergence,
     log_linear_mix,
     log_softmax,
     logsumexp,
+    many_narrow_rows,
     sample,
     softmax,
     truncate_top_k,
@@ -312,9 +315,10 @@ class TestSample:
 # ---------------------------------------------------------------------------
 # Differential test: the kernels against their checked-everywhere versions.
 # The oracles below are log_softmax, _logsumexp and log_linear_mix as they
-# were before log_softmax gained its finite-max fast path; every input must
-# give the same bytes, or the same exception and message, and the same
-# numpy warnings.
+# were before log_softmax gained its finite-max fast path and before many
+# narrow rows took their row max column by column; every input must give
+# the same bytes, or the same exception and message, and the same numpy
+# warnings.
 # ---------------------------------------------------------------------------
 
 
@@ -383,16 +387,30 @@ ROW_KINDS = {
 
 @st.composite
 def shapes(draw):
-    v = draw(st.integers(1, 6))
-    return (v,) if draw(st.booleans()) else (draw(st.integers(0, 4)), v)
+    """A vector, a few rows, or about MANY_ROWS rows (on both sides of the
+    many-narrow-rows rule), 1 to NARROW_WIDTH + 2 entries wide."""
+    v = draw(st.integers(1, NARROW_WIDTH + 2))
+    kind = draw(st.sampled_from(["vector", "few", "many", "many"]))
+    if kind == "vector":
+        return (v,)
+    if kind == "few":
+        return (draw(st.integers(0, 4)), v)
+    return (draw(st.integers(MANY_ROWS - 2, MANY_ROWS + 2)), v)
 
 
 @st.composite
 def arrays(draw, shape):
-    rows = []
-    for _ in range(int(np.prod(shape[:-1], dtype=int))):
+    """Up to six drawn rows; a matrix of more rows repeats them in a seeded
+    order, so that hypothesis draws little for a tall matrix."""
+    n = int(np.prod(shape[:-1], dtype=int))
+    drawn = []
+    for _ in range(min(n, 6)):
         kind = draw(st.sampled_from(["mixed", "mixed", "logprob", "logprob", "dead"]))
-        rows.append(draw(st.lists(ROW_KINDS[kind], min_size=shape[-1], max_size=shape[-1])))
+        drawn.append(draw(st.lists(ROW_KINDS[kind], min_size=shape[-1], max_size=shape[-1])))
+    order = np.arange(n) % max(len(drawn), 1)
+    if n > len(drawn):
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))).shuffle(order)
+    rows = [drawn[i] for i in order]
     return np.array(rows, dtype=np.float64).reshape(shape)
 
 
@@ -427,14 +445,56 @@ def assert_same_outcome(new, old):
     assert np.array_equal(np.signbit(a), np.signbit(b))  # -0.0 stays -0.0
 
 
+def _logsumexp_array(values):
+    return np.asarray(logsumexp(values))
+
+
+def _oracle_logsumexp_array(values):
+    return oracle_logsumexp(np.asarray(values, dtype=np.float64))[..., 0]
+
+
+# many rows whose max is a zero of both signs, in both column orders: the
+# column-wise row max may take the other zero, which only shifts by zero
+SIGNED_ZERO_TIES = np.array(
+    [[-0.0, 0.0, -1.0], [0.0, -0.0, -2.0], [-1.0, -0.0, 0.0], [-np.inf, 0.0, -0.0]] * MANY_ROWS
+)
+
+
 class TestKernelsMatchCheckedOracle:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_log_softmax(self, data):
         logits = data.draw(shapes().flatmap(arrays))
-        before = logits.copy()
+        before = logits.tobytes()
         assert_same_outcome(_outcome(log_softmax, logits), _outcome(oracle_log_softmax, logits))
-        assert np.array_equal(logits, before, equal_nan=True)
+        assert logits.tobytes() == before
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_logsumexp(self, data):
+        values = data.draw(shapes().flatmap(arrays))
+        before = values.tobytes()
+        assert_same_outcome(
+            _outcome(_logsumexp_array, values), _outcome(_oracle_logsumexp_array, values)
+        )
+        assert values.tobytes() == before
+
+    @pytest.mark.parametrize("values", [SIGNED_ZERO_TIES, SIGNED_ZERO_TIES[:, ::-1]])
+    def test_signed_zero_row_max_ties(self, values):
+        before = values.tobytes()
+        for fn, oracle in [
+            (log_softmax, oracle_log_softmax),
+            (_logsumexp_array, _oracle_logsumexp_array),
+        ]:
+            assert_same_outcome(_outcome(fn, values), _outcome(oracle, values))
+        assert values.tobytes() == before
+
+    def test_many_narrow_rows_rule(self):
+        assert many_narrow_rows(MANY_ROWS, NARROW_WIDTH)
+        assert many_narrow_rows(MANY_ROWS + 1, 1)
+        assert not many_narrow_rows(MANY_ROWS - 1, NARROW_WIDTH)
+        assert not many_narrow_rows(MANY_ROWS, NARROW_WIDTH + 1)
+        assert not many_narrow_rows(MANY_ROWS, 0)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

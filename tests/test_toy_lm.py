@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from cboost.dist import MANY_ROWS, NARROW_WIDTH, log_softmax
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 from cboost.toy_lm import (
@@ -214,6 +215,34 @@ class TestLossProfile:
     def test_heldout_too_short(self):
         with pytest.raises(ContractError):
             loss_profile(ToyLMParams.zeros(4, 3), (0, 1, 2), 3)
+
+
+class TestBatchForwardMatchesPerContext:
+    """A (lags, N) id array, on either side of the many-narrow-rows rule,
+    gives row for row the bytes of the forward of each context alone."""
+
+    @pytest.mark.parametrize(
+        "n, vocab",
+        [(MANY_ROWS, NARROW_WIDTH), (MANY_ROWS - 1, NARROW_WIDTH), (MANY_ROWS, NARROW_WIDTH + 1)],
+    )
+    def test_logits_and_prefix_logprobs(self, n, vocab):
+        rng = named_rng(18, "batch-forward")
+        lags = 5
+        params = ToyLMParams(rng.standard_normal(vocab), rng.standard_normal((lags, vocab, vocab)))
+        ids = rng.integers(0, vocab, size=(n, lags + 2))  # two tokens past the lag depth
+        contexts = [tuple(int(t) for t in row) for row in ids]
+        recent = ids[:, ::-1].T
+        rows = [params.logits(c[::-1]) for c in contexts]
+        assert params.logits(recent).tobytes() == np.stack(rows).tobytes()
+        prefixes = list(params.prefix_logprobs(recent))
+        assert len(prefixes) == lags + 2
+        for k, lf in enumerate(prefixes, start=1):
+            want = [log_softmax(params.logits(c[::-1][:k])) for c in contexts]
+            assert lf.tobytes() == np.stack(want).tobytes()
+
+    def test_zero_lag_depth_rejected(self):
+        with pytest.raises(ContractError, match="lag depth must be at least 1"):
+            ToyLMParams(np.zeros(4), np.zeros((0, 4, 4)))
 
 
 class TestTruncationSemantics:
