@@ -35,13 +35,11 @@ Probs = np.ndarray
 # with hard zeros; the floor keeps negative powers finite and tunable.
 LOG_FLOOR = float(np.log(1e-10))
 
-# numpy pays about 0.1 us a row for a last-axis max at widths up to 32, and
-# fancy indexing pays per row to gather table rows.  For many narrow rows a
-# loop over the columns (the max) and ``take`` (the gather) are several
-# times faster: for 20,000 rows of 8, about 0.2 against 1.7 ms and 0.1
-# against 0.23 ms on a 2-vCPU VM with numpy 2.4.6.  Every other shape keeps
-# the row-wise call.  At width 8 the column loop loses at 64 rows and ties
-# at 96; BENCH_18.json records the crossovers.
+# numpy pays about 0.1 us a row for a last-axis max at widths up to 32.  For
+# many narrow rows a loop over the columns is several times faster: for
+# 20,000 rows of 8, about 0.2 against 1.7 ms on a 2-vCPU VM with numpy
+# 2.4.6.  Every other shape keeps the row-wise call.  At width 8 the column
+# loop loses at 64 rows and ties at 96; BENCH_18.json records the crossovers.
 NARROW_WIDTH = 8
 MANY_ROWS = 128
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .backend import Backend, BackendInfo, Tokens, _as_tuple, as_tokens
-from .dist import LogProbs, log_softmax, many_narrow_rows
+from .dist import LogProbs, log_softmax
 from .errors import ContractError
 from .rng import named_rng
 
@@ -65,11 +65,15 @@ class ToyLMParams:
         ``recent[j]`` is the token j+1 positions back.  For one context,
         pass ``context[::-1]`` and get a (V,) vector; for N contexts of one
         length, pass a (lags, N) id array such as ``ids[:, ::-1].T`` and
-        get (N, V).  Tokens past ``lag_depth`` have no effect."""
+        get (N, V).  Tokens past ``lag_depth`` have no effect.
+
+        An id array gathers its table rows with ``take``, faster than fancy
+        indexing at every vocabulary and row count measured; a context of
+        Python ints indexes ``table[int]``, a view, faster for one context."""
         if not len(recent):
             raise ContractError("context must be non-empty")
         tables = self.lag_tables
-        if self._takes(recent):
+        if isinstance(recent, np.ndarray):
             z = self.bias + tables[0].take(recent[0], axis=0)
             for table, tokens in zip(tables[1:], recent[1:]):
                 z += table.take(tokens, axis=0)
@@ -82,24 +86,13 @@ class ToyLMParams:
     def prefix_logprobs(self, recent) -> Iterator[np.ndarray]:
         """``log_softmax(self.logits(recent[:k]))`` for k = 1..len(recent),
         each from the last by adding one lag."""
-        take = self._takes(recent)
+        take = isinstance(recent, np.ndarray)
         tables = self.lag_tables
         z = np.broadcast_to(self.bias, np.shape(recent)[1:] + self.bias.shape).copy()
         for k, tokens in enumerate(recent):
             if k < len(tables):
                 z += tables[k].take(tokens, axis=0) if take else tables[k][tokens]
             yield log_softmax(z)
-
-    def _takes(self, recent) -> bool:
-        """Whether to gather lag-table rows for ``recent`` with ``take``: for
-        a (lags, N) id array whose (N, V) output is many narrow rows, where
-        it costs a fraction of indexing.  Elsewhere the rows are indexed,
-        and a single context's ``table[int]`` is a view."""
-        return (
-            isinstance(recent, np.ndarray)
-            and recent.ndim == 2
-            and many_narrow_rows(recent.shape[1], self.bias.shape[0])
-        )
 
     def add_logit_gradient(self, recent, g: np.ndarray, lengths: np.ndarray | None = None) -> None:
         """Accumulate into these parameters (as a gradient) ``g``, the (N, V)

@@ -218,12 +218,18 @@ class TestLossProfile:
 
 
 class TestBatchForwardMatchesPerContext:
-    """A (lags, N) id array, on either side of the many-narrow-rows rule,
-    gives row for row the bytes of the forward of each context alone."""
+    """A (lags, N) id array (gathered with ``take``) gives row for row the
+    bytes of the forward of each context alone as Python ints (indexed), on
+    either side of the row-max rule and for a few wide rows."""
 
     @pytest.mark.parametrize(
         "n, vocab",
-        [(MANY_ROWS, NARROW_WIDTH), (MANY_ROWS - 1, NARROW_WIDTH), (MANY_ROWS, NARROW_WIDTH + 1)],
+        [
+            (MANY_ROWS, NARROW_WIDTH),
+            (MANY_ROWS - 1, NARROW_WIDTH),
+            (MANY_ROWS, NARROW_WIDTH + 1),
+            (4, 64),
+        ],
     )
     def test_logits_and_prefix_logprobs(self, n, vocab):
         rng = named_rng(18, "batch-forward")
@@ -234,6 +240,7 @@ class TestBatchForwardMatchesPerContext:
         recent = ids[:, ::-1].T
         rows = [params.logits(c[::-1]) for c in contexts]
         assert params.logits(recent).tobytes() == np.stack(rows).tobytes()
+        assert params.logits(ids[0, ::-1]).tobytes() == rows[0].tobytes()
         prefixes = list(params.prefix_logprobs(recent))
         assert len(prefixes) == lags + 2
         for k, lf in enumerate(prefixes, start=1):
