@@ -9,9 +9,8 @@ long-range coherence in generation and ranking.
 
 __version__ = "0.1.0"
 
-from .backend import Backend, BackendInfo, CachingBackend, Tokens, truncated_context
+from .backend import Backend, BackendInfo, CachingBackend, Tokens
 from .boosting import (
-    AfterSeparator,
     BoostSpec,
     MAX_CONTEXT,
     MCScore,

@@ -25,6 +25,9 @@ from .errors import ContractError, NumericalGuardError
 from .toy_lm import LossProfile, ToyLMParams, heldout_view
 
 DEFAULT_PROBES = (0.05, 0.1)
+# smallest step h: below the square root of float64's epsilon the rounding
+# of the two NLLs (about eps / h) swamps their difference
+MIN_STEP = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -62,6 +65,8 @@ def boost_derivative_check(
     """
     if not (math.isfinite(h) and h > 0):
         raise ContractError(f"finite-difference step h must be finite and positive, got {h}")
+    if h < MIN_STEP:
+        raise ContractError(f"finite-difference step h must be at least {MIN_STEP:.3g}, got {h}")
     m = params.lag_depth
     if not (1 <= k <= m):
         raise ContractError(f"k must be in [1, {m}]")

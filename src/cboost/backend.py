@@ -41,14 +41,6 @@ def as_tokens(seq: Sequence[int]) -> Tokens:
     return tuple(map(int, seq))
 
 
-def truncated_context(context: Sequence[int], k: int) -> Tokens:
-    """The last min(k, len) tokens, order preserved.  This is the short
-    expert's context: the model on a k-truncated context."""
-    if k < 1:
-        raise ContractError(f"context truncation length must be >= 1, got {k}")
-    return as_tokens(context)[-k:]
-
-
 def token_logprobs(backend: Backend, seq: Sequence[int], start: int, window: int) -> np.ndarray:
     """log p(seq[e] | seq[max(e - window, 0):e]) for e = start .. len(seq) - 1,
     from one next_logprobs_batch call.  This is the one token scorer behind
@@ -165,6 +157,7 @@ class CachingBackend(Backend):
         if capacity < 1:
             raise ContractError("cache capacity must be positive")
         self.inner = inner
+        self.tokenizer = inner.tokenizer
         self.capacity = capacity
         self._logprobs: OrderedDict[Tokens, np.ndarray] = OrderedDict()
         self._scores: OrderedDict[tuple[Tokens, Tokens], float] = OrderedDict()
@@ -240,13 +233,3 @@ class CachingBackend(Backend):
 
     def _fill_scores(self, keys: list[tuple[Tokens, Tokens]]) -> list[float]:
         return [self.inner.score_continuation(*keys[0])]
-
-    def encode(self, text: str) -> Tokens:
-        return self.inner.encode(text)
-
-    def decode(self, tokens: Sequence[int]) -> str:
-        return self.inner.decode(tokens)
-
-    @property
-    def eot_token_id(self) -> int:
-        return self.inner.eot_token_id

@@ -24,32 +24,26 @@ from .errors import ContractError
 MAX_CONTEXT = "max"  # sentinel weight key: the full-context expert
 
 
-@dataclass(frozen=True)
-class AfterSeparator:
-    """The short expert conditions on the tokens after the last occurrence
-    of a separator (e.g. the response generated so far in a dialog)."""
-
-    separator: int
-
-
-# weight key for the short expert that an AfterSeparator policy defines
+# weight key for the short expert of an after-separator spec
 SHORT = "short"
+# nonzero entries a spec may hold: evaluating the model is expensive, so
+# mixtures stay sparse
+MAX_EXPERTS = 2
 
 
 @dataclass(frozen=True)
 class BoostSpec:
-    """Sparse expert weights, plus the policy choosing the "short" context.
+    """Sparse expert weights, plus the separator choosing the "short" context.
 
     ``weights`` maps context lengths to real exponents; the full-context
     expert is stored under the key "max" like any other entry, and the
-    short expert of an after-separator policy (the dialog suffix) under
-    "short".  At most ``max_entries`` nonzero entries are allowed:
-    evaluating the model is expensive, so mixtures stay sparse.
+    short expert under "short": it conditions on the tokens after the last
+    ``separator`` (e.g. the response generated so far in a dialog).  At
+    most ``MAX_EXPERTS`` nonzero entries are allowed.
     """
 
     weights: Mapping[int | str, float]
-    policy: AfterSeparator | None = None
-    max_entries: int = 2
+    separator: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(self.weights))
@@ -65,11 +59,11 @@ class BoostSpec:
                 raise ContractError("fixed context lengths must be >= 1")
             if isinstance(key, str) and key not in (MAX_CONTEXT, SHORT):
                 raise ContractError(f"unknown sentinel weight key {key!r}")
-            if key == SHORT and self.policy is None:
+            if key == SHORT and self.separator is None:
                 raise ContractError('"short" entries need an after-separator policy')
-        if nonzero > self.max_entries:
+        if nonzero > MAX_EXPERTS:
             raise ContractError(
-                f"boost spec has {nonzero} nonzero entries, at most {self.max_entries} allowed"
+                f"boost spec has {nonzero} nonzero entries, at most {MAX_EXPERTS} allowed"
             )
 
     @classmethod
@@ -80,7 +74,7 @@ class BoostSpec:
     @classmethod
     def after_separator(cls, separator: int, alpha: float) -> "BoostSpec":
         """Dialog-style mixture f_max * f_suffix^alpha."""
-        return cls(weights={MAX_CONTEXT: 1.0, SHORT: alpha}, policy=AfterSeparator(separator))
+        return cls(weights={MAX_CONTEXT: 1.0, SHORT: alpha}, separator=separator)
 
     @classmethod
     def base_model(cls) -> "BoostSpec":
@@ -98,8 +92,8 @@ def _suffix_length(context: Tokens, separator: int) -> int:
 def _plan(context: Tokens, spec: BoostSpec) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """The experts of ``context`` under ``spec``, as (how many of the
     context's last tokens each one reads, their weights), the full context
-    first.  This is the one resolution rule.  Without an after-separator
-    policy the plan depends on len(context) only."""
+    first.  This is the one resolution rule.  Without a separator the plan
+    depends on len(context) only."""
     n = len(context)
     if not n:
         raise ContractError("context must be non-empty")
@@ -112,7 +106,7 @@ def _plan(context: Tokens, spec: BoostSpec) -> tuple[tuple[int, ...], tuple[floa
         if key == MAX_CONTEXT or (key != SHORT and key >= n):
             full_weight += w  # a fixed length >= n coincides with the full context
             continue
-        m = _suffix_length(context, spec.policy.separator) if key == SHORT else key
+        m = _suffix_length(context, spec.separator) if key == SHORT else key
         if m:  # an empty suffix: nothing generated yet, leave this step unboosted
             keeps.append(m)
             weights.append(w)
@@ -128,7 +122,7 @@ def resolve_expert_contexts(
 
     Zero-weight entries are dropped.  Fixed lengths >= len(context) collapse
     into the full-context expert with weights summed, so the mixture never
-    evaluates the same context twice.  Under an after-separator policy an
+    evaluates the same context twice.  Under an after-separator spec an
     empty suffix drops the short expert (the step is unboosted).  A tuple
     context is used as it is (``_as_tuple``).
     """
@@ -158,14 +152,14 @@ def boosted_next_dist_batch(
 
     A tuple context is used as it is (``_as_tuple``), and each context is
     planned once per distinct length, or per distinct context under an
-    after-separator policy.  Every expert context of every row goes to
+    after-separator spec.  Every expert context of every row goes to
     the backend in one next_logprobs_batch call, in per-item order.  Rows
     whose plans have equal weights (the common case; a fixed k covering a
     context collapses its experts into one) are mixed by one row-wise
     log_linear_mix call.
     """
     contexts = list(map(_as_tuple, contexts))
-    plan_keys = contexts if spec.policy is not None else map(len, contexts)
+    plan_keys = contexts if spec.separator is not None else map(len, contexts)
     plan_ids: dict = {}  # plan key -> index into plans
     plans: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
     row_plan = []
@@ -238,7 +232,6 @@ class GridSearchResult:
     k: int | None
     alpha: float
     score: float
-    objective: str
     table: list[tuple[int | None, float, float]]  # (k, alpha, score) per cell
 
 
@@ -274,6 +267,4 @@ def grid_search(
             if best is None or rank > best[0]:
                 best = (rank, k, float(alpha), float(score))
     _, k_star, alpha_star, score_star = best
-    return GridSearchResult(
-        k=k_star, alpha=alpha_star, score=score_star, objective=objective, table=table
-    )
+    return GridSearchResult(k=k_star, alpha=alpha_star, score=score_star, table=table)

@@ -15,14 +15,7 @@ import numpy as np
 
 from .backend import Backend, Tokens, as_tokens
 from .boosting import BoostSpec, boosted_next_dist, boosted_next_dist_batch
-from .dist import (
-    Probs,
-    apply_temperature,
-    argmax_token,
-    sample,
-    truncate_top_k,
-    truncate_top_p,
-)
+from .dist import Probs, apply_temperature, sample, truncate_top_k, truncate_top_p
 from .errors import ContractError
 from .rng import named_rng
 
@@ -115,7 +108,8 @@ def generate(backend: Backend, prompt: Sequence[int], cfg: GenConfig) -> GenResu
     out: list[int] = []
     for _ in range(cfg.max_new_tokens):
         probs = step_dist(backend, _window(ctx, backend), cfg)
-        tok = argmax_token(probs) if cfg.mode == "greedy" else sample(probs, rng)
+        # ties resolve to the lowest token id
+        tok = int(np.argmax(probs)) if cfg.mode == "greedy" else sample(probs, rng)
         out.append(tok)
         ctx = ctx + (tok,)
         if tok in cfg.stop_tokens:

@@ -241,10 +241,5 @@ def sample(dist: Probs, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(csum, u, side="right")), dist.size - 1)
 
 
-def argmax_token(values: np.ndarray) -> int:
-    """Index of the maximum; ties resolve to the lowest token id."""
-    return int(np.argmax(values))
-
-
 def uniform_logprobs(n: int) -> LogProbs:
     return np.full(n, -np.log(n))

@@ -174,6 +174,10 @@ def zipf_coefficient(corpus: Corpus, min_count: int = 1) -> float:
 def ends_repeating(tokens: Tokens, min_copies: int = 3, max_span: int = 16) -> bool:
     """True when the document ends in >= min_copies back-to-back copies of
     some span of length 1..max_span."""
+    if min_copies < 2 or max_span < 1:
+        raise ContractError(
+            f"repetition needs min_copies >= 2 and max_span >= 1, got {min_copies} and {max_span}"
+        )
     n = len(tokens)
     for span in range(1, max_span + 1):
         if span * min_copies > n:
@@ -221,15 +225,9 @@ def _pooled_ngrams(corpus: Corpus, n: int) -> tuple[Counter, int]:
     return pooled, total
 
 
-def bleu(
-    candidate: Items,
-    references: Sequence[Items],
-    max_n: int = 4,
-    smoothing: Literal["none", "epsilon"] = "none",
-) -> float:
+def bleu(candidate: Items, references: Sequence[Items], max_n: int = 4) -> float:
     """Geometric mean of modified n-gram precisions times the brevity
-    penalty.  With smoothing "epsilon", zero match counts are replaced by
-    0.1 instead of zeroing the whole score."""
+    penalty; a precision with no match zeroes the score."""
     if not references:
         raise ContractError("bleu needs at least one reference")
     candidate = tuple(candidate)
@@ -239,14 +237,10 @@ def bleu(
     log_precisions = []
     for n in range(1, max_n + 1):
         cand = _ngram_counts(candidate, n)
-        total = sum(cand.values())
         matches = float(sum(_clipped_counts(cand, references, n).values()))
         if matches == 0.0:
-            if smoothing == "epsilon" and total > 0:
-                matches = 0.1
-            else:
-                return 0.0
-        log_precisions.append(math.log(matches / total))
+            return 0.0
+        log_precisions.append(math.log(matches / sum(cand.values())))
     c = len(candidate)
     # closest reference length; ties prefer the shorter reference
     r = min((abs(len(tuple(ref)) - c), len(tuple(ref))) for ref in references)[1]

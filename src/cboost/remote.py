@@ -59,6 +59,7 @@ from .errors import BackendError, ContractError
 
 MAX_RETRIES = 3
 BACKOFF_BASE_SECONDS = 0.5
+TIMEOUT_SECONDS = 30.0  # per request
 # How far a reply may stray from exact normalization (|logsumexp| of a
 # next-token vector) or from exact summation (per_token against logprob,
 # relative to |logprob| when that exceeds 1).  JSON round trips are exact,
@@ -83,15 +84,11 @@ class RemoteBackend(Backend):
     def __init__(
         self,
         base_url: str,
-        timeout: float = 30.0,
         auth_header: str | None = None,
-        backoff_base: float = BACKOFF_BASE_SECONDS,
         session: requests.Session | None = None,
         tokenizer=None,
     ):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.backoff_base = backoff_base
         self._headers = {"Content-Type": "application/json"}
         if auth_header:
             self._headers["Authorization"] = auth_header
@@ -105,14 +102,14 @@ class RemoteBackend(Backend):
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
             try:
                 resp = self._session.request(
                     method,
                     url,
                     data=None if body is None else json.dumps(body),
                     headers=self._headers,
-                    timeout=self.timeout,
+                    timeout=TIMEOUT_SECONDS,
                 )
             except requests.RequestException as exc:
                 last_error = exc

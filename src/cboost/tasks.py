@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .backend import Backend, Tokens, truncated_context
+from .backend import Backend, Tokens
 from .boosting import BoostSpec, MCScore, boosted_next_dist_batch, score_choice
 from .decode import GenConfig, generate_dialog
 from .dist import logsumexp
@@ -121,7 +121,7 @@ def _choice_scores(
             full = backend.encode(item.prompt)
             if not full:
                 raise ContractError(f"item {item.item_id}: empty prompt")
-            short = truncated_context(full, k)
+            short = full[-k:]
             answers = item.candidates
         out.append([score_choice(backend, full, short, backend.encode(a), alpha) for a in answers])
     return out
@@ -366,6 +366,8 @@ def summarize_eval(
     against the reference."""
     if not articles:
         raise ContractError("no articles")
+    if sentence_count < 1:
+        raise ContractError(f"sentence_count must be >= 1, got {sentence_count}")
     if cfg is None:
         cfg = GenConfig(max_new_tokens=100)
     sep_tokens = backend.encode(separator_text)

@@ -83,15 +83,14 @@ class ToyLMParams:
             z += table[tokens]
         return z
 
-    def prefix_logprobs(self, recent) -> Iterator[np.ndarray]:
+    def prefix_logprobs(self, recent: np.ndarray) -> Iterator[np.ndarray]:
         """``log_softmax(self.logits(recent[:k]))`` for k = 1..len(recent),
-        each from the last by adding one lag."""
-        take = isinstance(recent, np.ndarray)
+        each from the last by adding one lag, for a (lags, N) id array."""
         tables = self.lag_tables
-        z = np.broadcast_to(self.bias, np.shape(recent)[1:] + self.bias.shape).copy()
+        z = np.broadcast_to(self.bias, recent.shape[1:] + self.bias.shape).copy()
         for k, tokens in enumerate(recent):
             if k < len(tables):
-                z += tables[k].take(tokens, axis=0) if take else tables[k][tokens]
+                z += tables[k].take(tokens, axis=0)
             yield log_softmax(z)
 
     def add_logit_gradient(self, recent, g: np.ndarray, lengths: np.ndarray | None = None) -> None:

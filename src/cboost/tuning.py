@@ -74,13 +74,6 @@ def sample_sequences(
     return seqs
 
 
-def _interior_positions(seq_len: int, tail: int | None) -> list[int]:
-    ks = list(range(1, seq_len))  # context lengths
-    if tail is not None:
-        ks = ks[-tail:]
-    return ks
-
-
 def kl_and_gradient(
     params: ToyLMParams,
     contexts: Sequence[Tokens],
@@ -125,7 +118,9 @@ def kl_and_gradient(
 
 
 def _step_positions(seqs: np.ndarray, tail: int | None) -> list[Tokens]:
-    ks = _interior_positions(seqs.shape[1], tail)
+    ks = list(range(1, seqs.shape[1]))  # context lengths
+    if tail is not None:
+        ks = ks[-tail:]
     return [tuple(row[:k]) for row in seqs.tolist() for k in ks]
 
 

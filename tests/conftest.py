@@ -91,6 +91,7 @@ class CountingBackend(Backend):
 
     def __init__(self, inner: Backend):
         self.inner = inner
+        self.tokenizer = inner.tokenizer
         self.logprob_calls = 0
         self.score_calls = 0
 
@@ -104,16 +105,6 @@ class CountingBackend(Backend):
     def score_continuation(self, context, continuation):
         self.score_calls += 1
         return self.inner.score_continuation(context, continuation)
-
-    def encode(self, text):
-        return self.inner.encode(text)
-
-    def decode(self, tokens):
-        return self.inner.decode(tokens)
-
-    @property
-    def eot_token_id(self):
-        return self.inner.eot_token_id
 
 
 def _strict_constant(name: str) -> float:

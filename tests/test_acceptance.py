@@ -4,6 +4,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ def test_criterion_09_table_shapes(cli_workspace):
         "--report", str(metrics_report), "--short-len", "3",
     ])
     assert rc == 0
-    payload = json.load(open(metrics_report))
+    payload = json.loads(metrics_report.read_text())
     header = payload["table"].splitlines()[0]
     for col in ("ppl", "BLEU-4", "Zipf", "rep %", "LR_50 %", "LR_100 %", "delta %", "LTF %"):
         assert col in header
@@ -300,7 +301,7 @@ def test_criterion_09_table_shapes(cli_workspace):
         "--report", str(eval_report),
     ])
     assert rc == 0
-    payload = json.load(open(eval_report))
+    payload = json.loads(eval_report.read_text())
     assert {"accuracy", "alpha", "k"} <= set(payload)
     ok("criterion 9: metrics table carries the generation-metrics columns; eval reports (accuracy, alpha, k)")
 
@@ -368,7 +369,7 @@ def test_criterion_10_cli_determinism(cli_workspace):
             rc = main(argv)
             assert rc == 0, name
             captures.append(
-                [strip_timestamp(open(p, "rb").read().decode("utf-8", "replace")) for p in outputs]
+                [strip_timestamp(Path(p).read_bytes().decode("utf-8", "replace")) for p in outputs]
             )
         assert captures[0] == captures[1], f"{name} output not deterministic"
     ok(f"criterion 10: {len(runs)} CLI commands byte-identical across repeated runs")

@@ -1,3 +1,5 @@
+import json
+import shutil
 import threading
 from collections import OrderedDict
 
@@ -6,29 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs, truncated_context
+from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs
+from cboost.cli import load_backend, vocab_sidecar_path
 from cboost.errors import ContractError
 from cboost.remote import RemoteBackend
 from cboost.rng import named_rng
-from cboost.toy_lm import ToyBackend, ToyLMParams, WhitespaceTokenizer
+from cboost.toy_lm import ToyBackend, ToyLMParams, WhitespaceTokenizer, save_params
 
 from conftest import CountingBackend
 from test_boosting import SparseBackend
-
-
-class TestTruncatedContext:
-    def test_shorter_than_context(self):
-        assert truncated_context((5, 6, 7), 2) == (6, 7)
-
-    def test_longer_than_context(self):
-        assert truncated_context((5, 6, 7), 10) == (5, 6, 7)
-
-    def test_single(self):
-        assert truncated_context((5,), 1) == (5,)
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ContractError):
-            truncated_context((5,), 0)
 
 
 class TestBackendInfo:
@@ -79,6 +67,32 @@ class TestTokenizerRule:
         assert backend.eot_token_id == tok.eot_id == 1
         cached = CachingBackend(backend)
         assert (cached.encode("b"), cached.decode((3,)), cached.eot_token_id) == ((3,), "b", 1)
+
+    @pytest.mark.parametrize("kind", ["toy-sidecar", "toy", "remote-vocab", "remote"])
+    def test_cache_takes_inner_tokenizer(self, tmp_path, kind):
+        # load_backend wraps every backend in a CachingBackend, which
+        # answers encode, decode and eot_token_id as its inner backend does
+        vocab = tmp_path / "v.json"
+        vocab.write_text(json.dumps(["a", "b"]))
+        if kind.startswith("toy"):
+            model = tmp_path / "m.tlm"
+            save_params(ToyLMParams.zeros(4, 1), str(model))
+            if kind == "toy-sidecar":
+                shutil.copy(vocab, vocab_sidecar_path(str(model)))
+            cached = load_backend(f"toy:{model}")
+        else:  # never contacted
+            cached = load_backend("remote:http://127.0.0.1:1", str(vocab) if kind == "remote-vocab" else None)
+        inner = cached.inner
+        assert cached.eot_token_id == inner.eot_token_id == (0 if inner.tokenizer is None else 1)
+        if kind.endswith(("sidecar", "vocab")):
+            assert cached.encode("a b zzz") == inner.encode("a b zzz") == (2, 3, 0)
+            assert cached.decode((2, 3)) == inner.decode((2, 3)) == "a b"
+            return
+        for backend in (cached, inner):
+            with pytest.raises(ContractError, match="--vocab"):
+                backend.encode("a b")
+            with pytest.raises(ContractError, match="--vocab"):
+                backend.decode((0, 1))
 
 
 class TestNextLogprobs:

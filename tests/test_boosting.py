@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cboost.backend import Backend, CachingBackend
 from cboost.boosting import (
     MAX_CONTEXT,
+    MAX_EXPERTS,
     SHORT,
-    AfterSeparator,
     BoostSpec,
     boosted_next_dist,
     boosted_next_dist_batch,
@@ -30,7 +30,6 @@ class TestBoostSpec:
     def test_entry_budget_enforced(self):
         with pytest.raises(ContractError, match="nonzero entries"):
             BoostSpec(weights={MAX_CONTEXT: 1.0, 1: -0.1, 2: -0.2})
-        BoostSpec(weights={MAX_CONTEXT: 1.0, 1: -0.1, 2: -0.2}, max_entries=3)
 
     def test_zero_entries_do_not_count(self):
         BoostSpec(weights={MAX_CONTEXT: 1.0, 1: -0.1, 2: 0.0})
@@ -42,7 +41,7 @@ class TestBoostSpec:
     def test_short_key_needs_policy(self):
         with pytest.raises(ContractError):
             BoostSpec(weights={MAX_CONTEXT: 1.0, SHORT: -0.5})
-        BoostSpec(weights={MAX_CONTEXT: 1.0, SHORT: -0.5}, policy=AfterSeparator(1))
+        BoostSpec(weights={MAX_CONTEXT: 1.0, SHORT: -0.5}, separator=1)
 
     def test_weights_must_be_finite(self):
         with pytest.raises(ContractError):
@@ -256,9 +255,10 @@ CONTEXT_FORMS = st.sampled_from([
 def batch_cases(draw):
     """(vocab, seed, contexts of mixed lengths and forms, spec).  The
     short lengths reach past the longest context, so k >= len(context)
-    collapses occur, and every weight may be zero or negative.  One spec
-    in three is an after-separator spec, whose short expert reads the
-    tokens after the last separator."""
+    collapses occur, and every weight may be zero or negative, with at
+    most MAX_EXPERTS of them nonzero.  One spec in three is an
+    after-separator spec, whose short expert reads the tokens after the
+    last separator."""
     v = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     contexts = draw(
@@ -273,13 +273,14 @@ def batch_cases(draw):
         )
     )
     ks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True))
-    weights = {MAX_CONTEXT: draw(WEIGHTS), **{k: draw(WEIGHTS) for k in ks}}
+    keys, separator = [MAX_CONTEXT, *ks], None
     if draw(st.integers(0, 2)) == 0:
-        weights = {MAX_CONTEXT: weights[MAX_CONTEXT], SHORT: draw(WEIGHTS), ks[0]: weights[ks[0]]}
-        spec = BoostSpec(weights, AfterSeparator(draw(st.integers(0, v - 1))), max_entries=3)
-    else:
-        spec = BoostSpec(weights=weights, max_entries=3)
-    return v, seed, contexts, spec
+        keys, separator = [MAX_CONTEXT, SHORT, ks[0]], draw(st.integers(0, v - 1))
+    weights = {}
+    for key in keys:  # a key past MAX_EXPERTS nonzero weights gets weight 0
+        nonzero = sum(w != 0 for w in weights.values())
+        weights[key] = draw(WEIGHTS) if nonzero < MAX_EXPERTS else 0.0
+    return v, seed, contexts, BoostSpec(weights, separator)
 
 
 def _outcome(fn):

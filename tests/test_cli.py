@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cboost.cli import (
     parse_k_grid,
     vocab_sidecar_path,
 )
-from cboost.boosting import MAX_CONTEXT, AfterSeparator
+from cboost.boosting import MAX_CONTEXT
 from cboost.errors import ContractError
 from cboost.rng import named_rng
 
@@ -94,7 +95,7 @@ class TestParsers:
         _, _, model, _, _ = workspace
         backend = load_backend(f"toy:{model}")
         spec = parse_boost_arg("sep:-0.3", backend, "w5")
-        assert isinstance(spec.policy, AfterSeparator)
+        assert spec.separator == backend.encode("w5")[-1]
         assert spec.weights[MAX_CONTEXT] == 1.0
 
     def test_boost_arg_bad(self, workspace):
@@ -136,7 +137,7 @@ class TestTrain:
         _, _, model, _, _ = workspace
         sidecar = vocab_sidecar_path(str(model))
         assert os.path.exists(sidecar)
-        words = json.load(open(sidecar))
+        words = json.loads(Path(sidecar).read_text())
         assert "w0" in words
 
     def test_determinism_same_flags(self, workspace, tmp_path):
@@ -168,7 +169,7 @@ class TestEval:
             "--report", str(r2),
         ])
         assert rc == 0
-        a, b = json.load(open(r1)), json.load(open(r2))
+        a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
         assert a["accuracy"] == b["accuracy"]
         assert [r["pred"] for r in a["per_item"]] == [r["pred"] for r in b["per_item"]]
 
@@ -181,7 +182,7 @@ class TestEval:
             "--report", str(report),
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         for key in ("accuracy", "alpha", "k", "manifest", "n_items", "per_item"):
             assert key in payload
         assert payload["k"] == 2 and payload["alpha"] == -0.5
@@ -195,7 +196,7 @@ class TestEval:
             "--report", str(report),
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         assert sorted(payload) == ["alpha", "manifest", "mean", "rows", "sentence_count"]
         assert payload["alpha"] == -0.5 and payload["sentence_count"] == 3
         assert sorted(payload["mean"]) == ["rouge1", "rouge2", "rougeL"]
@@ -220,7 +221,7 @@ class TestSweep:
             "--alpha-grid", "-0.5", "--k-grid", "2", "--report", str(report),
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         assert payload["best"]["k"] == 2
         assert payload["best"]["alpha"] == -0.5
         # val == test file + singleton grid: identical scores
@@ -241,7 +242,7 @@ class TestGenerate:
         assert main(base_args + ["--boost", "2:0", "--out", str(boosted)]) == 0
         read = lambda p: [
             json.loads(l)["output_tokens"]
-            for l in open(p)
+            for l in p.read_text().splitlines()
             if "output_tokens" in json.loads(l)
         ]
         assert read(plain) == read(boosted)
@@ -287,7 +288,7 @@ class TestMetrics:
             "--report", str(report), "--short-len", "3",
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         for key in ("ppl", "self_bleu4", "zipf", "repetition", "lr_50", "lr_100", "delta", "ltf"):
             assert key in payload["coherence"]
         header = payload["table"].splitlines()[0]
@@ -309,7 +310,7 @@ class TestMetrics:
             "--report", str(report), "--lr-ns", "5,10",
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         assert {"lr_5", "lr_10"} <= set(payload["coherence"])
         header = payload["table"].splitlines()[0].split("  ")
         assert "LR_5 %" in header and "LR_10 %" in header
@@ -334,7 +335,7 @@ class TestMetrics:
             "--ref", str(refs), "--report", str(report), "--short-len", "3",
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         assert "dialog" in payload
         for key in ("nist_2", "nist_4", "bleu_2", "bleu_4", "entropy_4", "distinct_1", "distinct_2", "avg_len"):
             assert key in payload["dialog"]
@@ -380,7 +381,7 @@ class TestTuneAnalyze:
             "--k", "4", "--report", str(report), "--pareto", str(pareto),
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         assert payload["derivative"]["analytic_derivative"] == 0.0
         assert abs(payload["derivative"]["fd_derivative"]) <= 1e-6
         assert "pareto" in payload
@@ -400,7 +401,7 @@ class TestConfigFileAndExitCodes:
             "--report", str(report),
         ])
         assert rc == 0
-        payload = json.load(open(report))
+        payload = json.loads(report.read_text())
         assert payload["alpha"] == -0.25  # explicit flag wins
         assert payload["k"] == 2          # config fills the gap
 
@@ -472,7 +473,7 @@ class TestRemoteEndToEnd:
         _, _, model, items, _ = workspace
         vocab = vocab_sidecar_path(str(model))
         params = load_params(str(model))
-        tokenizer = json.load(open(vocab))
+        tokenizer = json.loads(Path(vocab).read_text())
         from cboost.toy_lm import WhitespaceTokenizer
 
         backend = ToyBackend(params, WhitespaceTokenizer(tokenizer))
@@ -492,8 +493,8 @@ class TestRemoteEndToEnd:
                 "--report", str(remote_report),
             ])
             assert rc == 0
-        local = json.load(open(local_report))
-        remote = json.load(open(remote_report))
+        local = json.loads(local_report.read_text())
+        remote = json.loads(remote_report.read_text())
         assert local["accuracy"] == remote["accuracy"]
         # every record, logprob_target included, to the last bit
         assert "logprob_target" in local["per_item"][0]
@@ -752,6 +753,34 @@ class TestOtherInputFilesExit2:
         assert "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("h", ["1e-300", "5e-324", "1e-12"])
+    def test_analyze_step_below_rounding(self, workspace, tmp_path, capsys, h):
+        # below sqrt(float64 eps) the two NLLs' rounding swamps their
+        # difference: 1e-300 and 5e-324 give a finite difference of 0
+        _, corpus, model, _, _ = workspace
+        report = tmp_path / "a.json"
+        rc = main([
+            "analyze", "--model", str(model), "--heldout", str(corpus),
+            "--k", "2", f"--h={h}", "--report", str(report),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "finite-difference step h must be at least 1.49e-08" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
+    def test_analyze_small_step_runs(self, workspace, tmp_path):
+        _, corpus, model, _, _ = workspace
+        report = tmp_path / "a.json"
+        rc = main([
+            "analyze", "--model", str(model), "--heldout", str(corpus),
+            "--k", "2", "--h", "1e-7", "--report", str(report),
+        ])
+        assert rc == 0
+        derivative = json.loads(report.read_text())["derivative"]
+        assert derivative["h"] == 1e-7
+        assert abs(derivative["fd_derivative"] - derivative["analytic_derivative"]) < 1e-4
+
     def test_analyze_step_overflows_mix(self, workspace, tmp_path, capsys):
         # 1e308 is a finite step, but (1 + h) * log f_max overflows: the
         # finite difference would be NaN
@@ -812,6 +841,41 @@ class TestBadSettingsExit2:
         ])
         assert rc == 2
         assert "tail_positions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_summary_sentence_count(self, workspace, tmp_path, capsys, count):
+        # 0 would score empty summaries, and -1 would drop each summary's last sentence
+        _, _, model, _, _ = workspace
+        report = tmp_path / "summ.json"
+        rc = main([
+            "eval", "--task", "summarize", "--data", str(summarize_items(tmp_path)),
+            "--backend", f"toy:{model}", "--alpha", "-0.5", "--max-new-tokens", "4",
+            "--sentences", count, "--report", str(report),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"sentence_count must be >= 1, got {count}" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--rep-min-copies", "0"), ("--rep-min-copies", "1"), ("--rep-max-span", "0")]
+    )
+    def test_repetition_bounds(self, workspace, tmp_path, capsys, flag, value):
+        # fewer than two copies flags every document, and no span flags none
+        _, _, model, _, _ = workspace
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text(json.dumps({"manifest": {}}) + "\n" + json.dumps(GEN_RECORD) + "\n")
+        report = tmp_path / "m.json"
+        rc = main([
+            "metrics", "--generations", str(gen), "--backend", f"toy:{model}",
+            "--short-len", "2", flag, value, "--report", str(report),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "repetition needs min_copies >= 2 and max_span >= 1" in err
+        assert "Traceback" not in err
+        assert not report.exists()
 
 
 class TestNonUtf8InputExit2:
@@ -1046,7 +1110,7 @@ class TestTrainReachesLowLoss:
         from cboost.toy_lm import WhitespaceTokenizer, load_params, loss_profile
 
         params = load_params(str(model))
-        vocab = json.load(open(vocab_sidecar_path(str(model))))
+        vocab = json.loads(Path(vocab_sidecar_path(str(model))).read_text())
         tok = WhitespaceTokenizer(vocab)
         heldout = tok.encode(" ".join(["a b"] * 400))
         prof = loss_profile(params, heldout, 2)

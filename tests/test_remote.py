@@ -10,6 +10,7 @@ import pytest
 import requests
 
 from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs
+from cboost import remote
 from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist_batch
 from cboost.errors import BackendError, ContractError
 from cboost.remote import (
@@ -23,6 +24,12 @@ from cboost.remote import (
 from cboost.toy_lm import ToyBackend
 
 from conftest import CountingBackend, SparseBackend
+
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Retries wait 10, 20 and 40 ms instead of the client's half-second base."""
+    monkeypatch.setattr(remote, "BACKOFF_BASE_SECONDS", 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +47,6 @@ def counted(trained_params):
 
 
 def make_client(server, **kw):
-    kw.setdefault("backoff_base", 0.01)
     return RemoteBackend(server.url, **kw)
 
 
@@ -251,7 +257,7 @@ def flaky_server():
 class TestRetries:
     def test_transient_503_retried(self, flaky_server):
         url, handler = flaky_server
-        client = RemoteBackend(url, backoff_base=0.01)
+        client = RemoteBackend(url)
         out = client.next_logprobs((0,))
         assert np.allclose(out, np.log(0.5))
         assert handler.hits == 3  # two failures + one success
@@ -259,13 +265,13 @@ class TestRetries:
     def test_exhausted_retries_raise_backend_error(self, flaky_server):
         url, handler = flaky_server
         handler.failures_left = 10**9
-        client = RemoteBackend(url, backoff_base=0.01)
+        client = RemoteBackend(url)
         with pytest.raises(BackendError, match="retries"):
             client.next_logprobs((0,))
         assert handler.hits == 4  # initial try + 3 retries
 
     def test_connection_refused_raises_backend_error(self):
-        client = RemoteBackend("http://127.0.0.1:1", backoff_base=0.001, timeout=0.2)
+        client = RemoteBackend("http://127.0.0.1:1")
         with pytest.raises(BackendError):
             client.next_logprobs((0,))
 
@@ -358,7 +364,7 @@ def stub_server(_stub_httpd):
     def start(reply, status=200, info=None):
         handler.reply, handler.status, handler.paths = reply, status, []
         handler.info = _StubHandler.INFO if info is None else info
-        return RemoteBackend(url, backoff_base=0.01), handler
+        return RemoteBackend(url), handler
 
     return start
 

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ class TestPersistence:
         params = ToyLMParams(np.arange(3, dtype=float), np.arange(18, dtype=float).reshape(2, 3, 3))
         path = str(tmp_path / "layout.tlm")
         save_params(params, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[:4] == MAGIC == b"TLM1"
         v, m = struct.unpack("<II", blob[4:12])
         assert (v, m) == (3, 2)
