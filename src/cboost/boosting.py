@@ -152,40 +152,34 @@ def boosted_next_dist_batch(
 
     A tuple context is used as it is (``_as_tuple``), and each context is
     planned once per distinct length, or per distinct context under an
-    after-separator spec.  Every expert context of every row goes to
-    the backend in one next_logprobs_batch call, in per-item order.  Rows
-    whose plans have equal weights (the common case; a fixed k covering a
-    context collapses its experts into one) are mixed by one row-wise
-    log_linear_mix call.
+    after-separator spec.  Rows whose plans have equal weights form a group
+    (the common case; a fixed k covering a context collapses its experts
+    into one).  Every expert context goes to the backend in one
+    next_logprobs_batch call, group by group and expert by expert, so a
+    group's expert e is one block of rows, and one row-wise log_linear_mix
+    call mixes each group's blocks.
     """
     contexts = list(map(_as_tuple, contexts))
     plan_keys = contexts if spec.separator is not None else map(len, contexts)
-    plan_ids: dict = {}  # plan key -> index into plans
-    plans: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
-    row_plan = []
-    for key, c in zip(plan_keys, contexts):
-        j = plan_ids.get(key)
-        if j is None:
-            j = plan_ids[key] = len(plans)
-            plans.append(_plan(c, spec))
-        row_plan.append(j)
-    keeps = [plan[0] for plan in plans]
-    flat = [c[-m:] for c, j in zip(contexts, row_plan) for m in keeps[j]]
+    plans: dict = {}  # plan key -> (keeps, weights)
+    keeps = []  # row -> how many last tokens each of its experts reads
+    groups: dict[tuple[float, ...], list[int]] = {}  # weights -> rows
+    for i, (key, c) in enumerate(zip(plan_keys, contexts)):
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _plan(c, spec)
+        keeps.append(plan[0])
+        groups.setdefault(plan[1], []).append(i)
+    flat = [contexts[i][-keeps[i][e] :] for weights, rows in groups.items()
+            for e in range(len(weights)) for i in rows]
     vecs = backend.next_logprobs_batch(flat)
-    row_plan = np.asarray(row_plan, dtype=np.intp)
-    sizes = np.asarray([len(k) for k in keeps], dtype=np.intp)[row_plan]
-    starts = np.cumsum(sizes) - sizes  # row -> index of its first expert
     out = np.empty((len(contexts), backend.info().vocab_size))
-    groups: dict[tuple[float, ...], list[int]] = {}
-    for j, (_, weights) in enumerate(plans):
-        groups.setdefault(weights, []).append(j)
-    for weights, members in groups.items():
-        rows = np.flatnonzero(np.isin(row_plan, members))
-        if not weights:
-            out[rows] = uniform_logprobs(out.shape[1])
-            continue
-        first = starts[rows]
-        out[rows] = log_linear_mix([vecs[first + e] for e in range(len(weights))], weights)
+    s = 0  # the group's first row in vecs
+    for weights, rows in groups.items():
+        n = len(rows)
+        experts = [vecs[s + e * n : s + (e + 1) * n] for e in range(len(weights))]
+        out[rows] = log_linear_mix(experts, weights) if weights else uniform_logprobs(out.shape[1])
+        s += len(weights) * n
     return out
 
 

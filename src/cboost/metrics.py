@@ -83,30 +83,26 @@ def _token_logprobs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Log-probabilities of every scored token of one document given its
     full context and, unless ``short_len`` is None, its last ``short_len``
-    tokens: one next_logprobs_batch call per expert."""
+    tokens: one next_logprobs_batch call per expert, the short one first,
+    so that token_logprobs rejects a bad ``short_len`` before any row is
+    scored."""
     seq = doc.prompt + doc.tokens
     # without a prompt the first token has no context to condition on
     start = len(doc.prompt) if doc.prompt else 1
-    full = token_logprobs(backend, seq, start, backend.info().max_context)
-    if short_len is None:
-        return full, None
-    return full, token_logprobs(backend, seq, start, short_len)
+    short = None if short_len is None else token_logprobs(backend, seq, start, short_len)
+    return token_logprobs(backend, seq, start, backend.info().max_context), short
 
 
 def _scored_corpus(
     corpus: Corpus, backend: Backend, short_len: int | None
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """``_token_logprobs`` of every document; a corpus with no scored
-    token at all is rejected."""
-    scored = [_token_logprobs(doc, backend, short_len) for doc in corpus.documents]
-    if not any(len(full) for full, _ in scored):
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``_token_logprobs`` of every document, each expert's joined in
+    document order; a corpus with no scored token at all is rejected."""
+    full, short = zip(*(_token_logprobs(doc, backend, short_len) for doc in corpus.documents))
+    full = np.concatenate(full)
+    if not len(full):
         raise ContractError("no scorable tokens in corpus")
-    return scored
-
-
-def _probs(scored) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(p_full, p_short) of every scored token, one pair per document."""
-    return [(_exp(full), _exp(short)) for full, short in scored]
+    return full, None if short_len is None else np.concatenate(short)
 
 
 def _exp(logprobs: np.ndarray) -> np.ndarray:
@@ -120,40 +116,34 @@ LTF_LONG_THRESH = 0.20
 LTF_SHORT_THRESH = 0.05
 
 
-def _ltf(probs) -> float:
-    hits = 0
-    total = 0
-    for p_full, p_short in probs:
-        hits += int(np.sum((p_full >= LTF_LONG_THRESH) & (p_short < LTF_SHORT_THRESH)))
-        total += len(p_full)
-    return hits / total
+def _ltf(p_full: np.ndarray, p_short: np.ndarray) -> float:
+    hits = int(np.sum((p_full >= LTF_LONG_THRESH) & (p_short < LTF_SHORT_THRESH)))
+    return hits / len(p_full)
 
 
-def _delta(probs) -> float:
-    all_diffs = np.concatenate([p_full - p_short for p_full, p_short in probs])
-    return float(np.mean(all_diffs))
+def _delta(p_full: np.ndarray, p_short: np.ndarray) -> float:
+    return float(np.mean(p_full - p_short))
 
 
-def _perplexity(scored) -> float:
-    nll = -np.concatenate([full for full, _ in scored])
-    return float(np.exp(np.mean(nll)))
+def _perplexity(full: np.ndarray) -> float:
+    return float(np.exp(np.mean(-full)))
 
 
 def ltf(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
     """Frequency of long-dependent tokens: likelihood >= LTF_LONG_THRESH
     given the full context but < LTF_SHORT_THRESH given only short_len
     tokens."""
-    return _ltf(_probs(_scored_corpus(corpus, backend, short_len)))
+    return _ltf(*map(_exp, _scored_corpus(corpus, backend, short_len)))
 
 
 def delta(corpus: Corpus, backend: Backend, short_len: int = 20) -> float:
     """Mean over tokens of p(full context) - p(short context)."""
-    return _delta(_probs(_scored_corpus(corpus, backend, short_len)))
+    return _delta(*map(_exp, _scored_corpus(corpus, backend, short_len)))
 
 
 def corpus_perplexity(corpus: Corpus, backend: Backend) -> float:
     """exp(mean NLL) of corpus tokens under the full available context."""
-    return _perplexity(_scored_corpus(corpus, backend, None))
+    return _perplexity(_scored_corpus(corpus, backend, None)[0])
 
 
 def zipf_coefficient(corpus: Corpus, min_count: int = 1) -> float:
@@ -462,17 +452,21 @@ def coherence_report(
     zipf_min_count: int = 1,
 ) -> CoherenceReport:
     """Every metric of the set; the model-relative ones (ppl, delta, ltf)
-    share one scoring of each document."""
-    scored = _scored_corpus(corpus, backend, short_len)
-    probs = _probs(scored)
-    return CoherenceReport(
-        ppl=_perplexity(scored),
+    share one scoring of each document, which runs after the corpus-only
+    ones so that a bad bound is rejected before any backend work."""
+    lexical = dict(
         self_bleu4=self_bleu4(corpus) if len(corpus.documents) > 1 else 1.0,
         zipf=zipf_coefficient(corpus, min_count=zipf_min_count),
         repetition=repetition_fraction(corpus, repetition_min_copies, repetition_max_span),
         lr={n: lr_score(corpus, n) for n in lr_ns},
-        delta=_delta(probs),
-        ltf=_ltf(probs),
+    )
+    full, short = _scored_corpus(corpus, backend, short_len)
+    p_full, p_short = _exp(full), _exp(short)
+    return CoherenceReport(
+        ppl=_perplexity(full),
+        **lexical,
+        delta=_delta(p_full, p_short),
+        ltf=_ltf(p_full, p_short),
         short_len=short_len,
     )
 

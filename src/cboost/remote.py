@@ -49,6 +49,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 import requests
@@ -88,6 +89,13 @@ class RemoteBackend(Backend):
         session: requests.Session | None = None,
         tokenizer=None,
     ):
+        try:  # an unclosed IPv6 bracket or a port out of range raises ValueError
+            parts = urlsplit(base_url)
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ContractError(f"remote URL must be http(s)://host[:port], got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self._headers = {"Content-Type": "application/json"}
         if auth_header:

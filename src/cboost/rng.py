@@ -1,8 +1,8 @@
 """Seeded, named random streams.
 
 All randomness in the toolkit flows from a single integer seed through
-named Philox (counter-based) streams, so parallel workers reproduce the
-same values regardless of scheduling.
+named Philox (counter-based) streams.  A stream depends only on
+(seed, name), not on the order in which streams are drawn.
 """
 
 from __future__ import annotations

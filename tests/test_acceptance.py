@@ -2,7 +2,6 @@
 (run with `pytest tests/test_acceptance.py -s` to see them)."""
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 
 from cboost.backend import CachingBackend
 from cboost.boosting import MAX_CONTEXT, BoostSpec, grid_search, score_choice
-from cboost.cli import main, vocab_sidecar_path
+from cboost.cli import main
 from cboost.decode import GenConfig, generate
 from cboost.dist import kl_divergence, log_linear_mix, log_softmax, logsumexp
 from cboost.metrics import (
@@ -32,7 +31,6 @@ from cboost.analysis import boost_derivative_check
 from cboost.toy_lm import (
     ToyBackend,
     TrainConfig,
-    WhitespaceTokenizer,
     train_uniform_scalarization,
     window_loss_and_gradient,
 )

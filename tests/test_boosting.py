@@ -347,7 +347,10 @@ class TestBoostedNextDistBatch:
         with pytest.raises(ContractError):
             boosted_next_dist_batch(trained_backend, [(1,), ()], BoostSpec.base_model())
 
-    def test_one_backend_batch_call_in_per_item_order(self, trained_backend):
+    def test_one_backend_batch_call_group_then_expert_order(self, trained_backend):
+        # rows 0 and 2 mix two experts; k=2 covers row 1, which forms its
+        # own group: each group's rows go expert by expert, so every
+        # group's expert e is one contiguous block of the batch
         seen = []
 
         class Recording(Backend):
@@ -359,8 +362,11 @@ class TestBoostedNextDistBatch:
                 return trained_backend.next_logprobs_batch(contexts)
 
         spec = BoostSpec(weights={MAX_CONTEXT: 1.0, 2: -0.5})
-        boosted_next_dist_batch(Recording(), [[1, 2, 3], (4, 5, 6)], spec)
-        assert seen == [[(1, 2, 3), (2, 3), (4, 5, 6), (5, 6)]]
+        contexts = [[1, 2, 3], (7, 6), (4, 5, 6, 1)]
+        out = boosted_next_dist_batch(Recording(), contexts, spec)
+        assert seen == [[(1, 2, 3), (4, 5, 6, 1), (2, 3), (6, 1), (7, 6)]]
+        for row, ctx in zip(out, contexts):
+            assert np.array_equal(row, boosted_next_dist(trained_backend, ctx, spec))
 
 
 class TestTupleContextsPassThrough:

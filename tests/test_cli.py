@@ -437,6 +437,24 @@ class TestConfigFileAndExitCodes:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("url", ["localhost:8642", "ftp://localhost:8642"])
+    def test_remote_url_not_http_exit_2_without_retry(self, workspace, tmp_path, monkeypatch, capsys, url):
+        # a URL no request can reach is bad input, not a transient failure
+        _, _, model, items, _ = workspace
+        import cboost.remote as remote_mod
+
+        def no_sleep(seconds):
+            raise AssertionError("a malformed URL was retried")
+
+        monkeypatch.setattr(remote_mod.time, "sleep", no_sleep)
+        rc = main([
+            "eval", "--task", "lasttoken", "--data", str(items),
+            "--backend", f"remote:{url}", "--vocab", vocab_sidecar_path(str(model)),
+            "--alpha", "0", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        assert f"got {url!r}" in capsys.readouterr().err
+
     def test_remote_without_vocab_is_contract_error(self, workspace, tmp_path):
         _, _, _, items, _ = workspace
         rc = main([

@@ -1,6 +1,5 @@
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from cboost.metrics import (
 from cboost.rng import named_rng
 from cboost.toy_lm import ToyBackend
 
-from conftest import TableBackend
+from conftest import CountingBackend, TableBackend
 
 
 def corpus_of(*docs):
@@ -493,3 +492,28 @@ class TestReports:
         for col in ("NIST-2", "NIST-4", "BLEU-2", "BLEU-4", "Ent-4", "Dist-1", "Dist-2", "avg len"):
             assert col in table.splitlines()[0]
         assert rep.avg_len == 5.0
+
+
+class TestBadOptionRejectedBeforeScoring:
+    """coherence_report rejects a bad option before the backend scores
+    any row: the corpus-only metrics run first, and the short window is
+    checked before the full expert's rows."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("repetition_min_copies", 0),
+            ("repetition_max_span", 0),
+            ("lr_ns", (0,)),
+            ("zipf_min_count", 10**6),
+            ("short_len", 0),
+        ],
+        ids=["min-copies", "max-span", "lr-n", "zipf-min-count", "short-len"],
+    )
+    def test_no_row_scored(self, trained_backend, option, value):
+        rng = named_rng(5, "bad-option")
+        corpus = corpus_of(*(rng.integers(0, 8, size=20).tolist() for _ in range(5)))
+        counting = CountingBackend(trained_backend)
+        with pytest.raises(ContractError):
+            coherence_report(corpus, counting, **{option: value})
+        assert counting.logprob_calls == 0

@@ -11,7 +11,6 @@ from cboost.errors import BackendError, ContractError
 from cboost.rng import named_rng
 from cboost.tasks import (
     LamaItem,
-    LastTokenItem,
     MCItem,
     SummarizeItem,
     eval_items,
