@@ -19,6 +19,7 @@ from .boosting import (
     boosted_next_dist_batch,
     grid_search,
     score_choice,
+    score_choices,
 )
 from .decode import GenConfig, GenResult, beam_search, generate, generate_dialog
 from .dist import (

@@ -41,24 +41,55 @@ def as_tokens(seq: Sequence[int]) -> Tokens:
     return tuple(map(int, seq))
 
 
-def token_logprobs(backend: Backend, seq: Sequence[int], start: int, window: int) -> np.ndarray:
-    """log p(seq[e] | seq[max(e - window, 0):e]) for e = start .. len(seq) - 1,
-    from one next_logprobs_batch call.  This is the one token scorer behind
-    score_continuation, the server's /v1/score and the likelihood probes."""
-    if window < 1:
-        raise ContractError(f"context truncation length must be >= 1, got {window}")
-    seq = as_tokens(seq)
+def token_logprobs_batch(
+    backend: Backend, spans: Sequence[tuple[Sequence[int], int, int]]
+) -> list[np.ndarray]:
+    """For each span (seq, start, window), log p(seq[e] | seq[max(e - window,
+    0):e]) for e = start .. len(seq) - 1.  Every span is checked before the
+    backend runs, and all their rows come from one next_logprobs_batch call.
+    This is the one token scorer behind score_batch, the server's /v1/score
+    and /v1/score_batch and the likelihood probes."""
+    spans = [(as_tokens(seq), start, window) for seq, start, window in spans]
     v = backend.info().vocab_size
-    if any(t < 0 or t >= v for t in seq[start:]):
-        raise ContractError("token id out of range for this backend")
-    ends = range(start, len(seq))
-    rows = backend.next_logprobs_batch([seq[max(e - window, 0) : e] for e in ends])
-    return rows[np.arange(len(ends)), np.asarray(seq[start:], dtype=np.int64)]
+    for seq, start, window in spans:
+        if window < 1:
+            raise ContractError(f"context truncation length must be >= 1, got {window}")
+        if any(t < 0 or t >= v for t in seq[start:]):
+            raise ContractError("token id out of range for this backend")
+    contexts = [seq[max(e - window, 0) : e] for seq, start, window in spans
+                for e in range(start, len(seq))]
+    targets = np.asarray([t for seq, start, _ in spans for t in seq[start:]], dtype=np.int64)
+    terms = backend.next_logprobs_batch(contexts)[np.arange(len(targets)), targets]
+    out, s = [], 0
+    for seq, start, _ in spans:
+        out.append(terms[s : s + len(seq) - start])
+        s += len(seq) - start
+    return out
+
+
+def token_logprobs(backend: Backend, seq: Sequence[int], start: int, window: int) -> np.ndarray:
+    """token_logprobs_batch of the one span (seq, start, window)."""
+    return token_logprobs_batch(backend, [(seq, start, window)])[0]
+
+
+def scored_pairs(
+    backend: Backend, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> list[tuple[float, np.ndarray]]:
+    """(logprob, per-token terms) of every (context, continuation) pair: the
+    terms of each continuation token given the context so far, and their
+    sum added in order.  Every pair is checked before the backend runs, and
+    all of them take one next_logprobs_batch call."""
+    pairs = [(as_tokens(c), as_tokens(k)) for c, k in pairs]
+    for context, continuation in pairs:
+        backend._check_score_args(context, continuation)
+    window = backend.info().max_context
+    terms = token_logprobs_batch(backend, [(c + k, len(c), window) for c, k in pairs])
+    return [(float(np.cumsum(t)[-1]), t) for t in terms]
 
 
 class Backend:
     """Base class.  Subclasses implement info() and next_logprobs();
-    next_logprobs_batch and score_continuation have generic
+    next_logprobs_batch, score_batch and score_continuation have generic
     implementations on top of it, which subclasses may override."""
 
     def info(self) -> BackendInfo:
@@ -82,14 +113,15 @@ class Backend:
             return np.empty((0, self.info().vocab_size))
         return np.stack(rows)
 
+    def score_batch(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[float]:
+        """score_continuation of every (context, continuation) pair, from
+        one next_logprobs_batch call (``scored_pairs``)."""
+        return [logprob for logprob, _ in scored_pairs(self, pairs)]
+
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
         """Sum over continuation tokens of log p(token | context so far),
-        added in order, from one next_logprobs_batch call."""
-        context = as_tokens(context)
-        continuation = as_tokens(continuation)
-        self._check_score_args(context, continuation)
-        terms = token_logprobs(self, context + continuation, len(context), self.info().max_context)
-        return float(np.cumsum(terms)[-1])
+        added in order: the one-pair case of score_batch."""
+        return self.score_batch([(context, continuation)])[0]
 
     def _check_context(self, context: Tokens) -> None:
         if len(context) == 0:
@@ -140,13 +172,15 @@ def _as_tuple(seq: Sequence[int]) -> tuple:
 
 
 class CachingBackend(Backend):
-    """Bounded LRU memoization of next_logprobs and score_continuation.
+    """Bounded LRU memoization of next-token vectors and continuation scores.
 
     Keys are token-id tuples: a tuple is its own key, and any other
     sequence is normalized with ``as_tokens`` first (``_as_tuple``), so a
     list, an array and a tuple of numpy ints of the same ids share one
-    entry.  All three entry points look their keys up
-    through ``_cached``, each with its own fill from the inner backend.
+    entry.  Every entry point looks its keys up through ``_cached``, with
+    a fill from the inner backend: next_logprobs from the inner
+    next_logprobs, next_logprobs_batch from the inner next_logprobs_batch,
+    and score_batch and score_continuation from the inner score_batch.
     The cache is internally synchronized: ``cboost serve`` answers each
     request on its own thread, and all of them share one instance.  Cached
     vectors are returned read-only, and must be identical to uncached
@@ -179,9 +213,14 @@ class CachingBackend(Backend):
         out.setflags(write=False)
         return out
 
+    def score_batch(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[float]:
+        """The misses are scored by one inner score_batch call."""
+        keys = [(_as_tuple(c), _as_tuple(k)) for c, k in pairs]
+        return self._cached(self._scores, keys, self.inner.score_batch)
+
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
-        key = (_as_tuple(context), _as_tuple(continuation))
-        return self._cached(self._scores, [key], self._fill_scores)[0]
+        # the cache's own entry point, so that a tracer can wrap it
+        return self.score_batch([(context, continuation)])[0]
 
     def _cached(self, store: OrderedDict, keys: list, fill) -> list:
         """The value of each key: hits come from ``store``, and the distinct
@@ -230,6 +269,3 @@ class CachingBackend(Backend):
         for row in rows:
             row.setflags(write=False)
         return rows
-
-    def _fill_scores(self, keys: list[tuple[Tokens, Tokens]]) -> list[float]:
-        return [self.inner.score_continuation(*keys[0])]

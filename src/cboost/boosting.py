@@ -194,6 +194,36 @@ class MCScore:
     combined: float
 
 
+def score_choices(
+    backend: Backend,
+    full_ctx: Sequence[int],
+    premise_free_ctx: Sequence[int],
+    answers: Sequence[Sequence[int]],
+    alpha: float,
+) -> list[MCScore]:
+    """Score answer candidates by full-context and premise-free-context
+    log-likelihoods, combined as full + alpha * short.
+
+    alpha = 0 reproduces base-model ranking; alpha = -1 ranks by the
+    pointwise mutual information between the premise and the answer.
+    Every answer under both contexts takes one backend score_batch call.
+    Both contexts must be non-empty, as the backend requires; the task
+    harness substitutes an end-of-text token for an empty premise-free
+    context before it calls this.
+    """
+    answers = [as_tokens(a) for a in answers]
+    if not all(answers):
+        raise ContractError("answer must be non-empty")
+    pairs = [(ctx, a) for a in answers for ctx in (full_ctx, premise_free_ctx)]
+    scores = backend.score_batch(pairs)
+    # alpha == 0 must reproduce the base path bit-for-bit (and never touch
+    # a possibly infinite short score)
+    return [
+        MCScore(full, short, full if alpha == 0 else full + alpha * short)
+        for full, short in zip(scores[0::2], scores[1::2])
+    ]
+
+
 def score_choice(
     backend: Backend,
     full_ctx: Sequence[int],
@@ -201,24 +231,8 @@ def score_choice(
     answer: Sequence[int],
     alpha: float,
 ) -> MCScore:
-    """Score one answer candidate by full-context and premise-free-context
-    log-likelihoods, combined as full + alpha * short.
-
-    alpha = 0 reproduces base-model ranking; alpha = -1 ranks by the
-    pointwise mutual information between the premise and the answer.
-    Both contexts must be non-empty, as the backend requires; the task
-    harness substitutes an end-of-text token for an empty premise-free
-    context before it calls this.
-    """
-    answer = as_tokens(answer)
-    if not answer:
-        raise ContractError("answer must be non-empty")
-    full = backend.score_continuation(full_ctx, answer)
-    short = backend.score_continuation(premise_free_ctx, answer)
-    # alpha == 0 must reproduce the base path bit-for-bit (and never touch
-    # a possibly infinite short score)
-    combined = full if alpha == 0 else full + alpha * short
-    return MCScore(full_logprob=full, short_logprob=short, combined=combined)
+    """score_choices of the one answer candidate ``answer``."""
+    return score_choices(backend, full_ctx, premise_free_ctx, [answer], alpha)[0]
 
 
 @dataclass

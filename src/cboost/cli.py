@@ -364,6 +364,16 @@ def cmd_metrics(args) -> int:
         lr_ns = tuple(int(x) for x in args.lr_ns.split(","))
     except ValueError as exc:
         raise ContractError(f"bad --lr-ns value {args.lr_ns!r}") from exc
+    if args.ref:  # matched before the corpus is scored, so a missing id costs no model rows
+        refs_by_id = dict(read_records(args.ref, [("id", "id"), ("references", "texts")]))
+        candidates = []
+        references = []
+        for rid, _, _, text in records:
+            if rid not in refs_by_id:
+                raise ContractError(f"no references for generation {rid}")
+            candidates.append(text.split())
+            references.append([ref.split() for ref in refs_by_id[rid]])
+        dialog = dialog_report(candidates, references)
     report = coherence_report(
         corpus,
         backend,
@@ -378,15 +388,6 @@ def cmd_metrics(args) -> int:
     payload = {"manifest": manifest, "coherence": report.to_dict()}
     table = render_coherence_table(report)
     if args.ref:
-        refs_by_id = dict(read_records(args.ref, [("id", "id"), ("references", "texts")]))
-        candidates = []
-        references = []
-        for rid, _, _, text in records:
-            if rid not in refs_by_id:
-                raise ContractError(f"no references for generation {rid}")
-            candidates.append(text.split())
-            references.append([ref.split() for ref in refs_by_id[rid]])
-        dialog = dialog_report(candidates, references)
         payload["dialog"] = dialog.to_dict()
         table += "\n\n" + render_dialog_table(dialog)
     payload["table"] = table

@@ -3,41 +3,49 @@
 Wire format (JSON bodies, UTF-8):
 
     GET  /v1/info          -> {"vocab_size": int, "max_context": int, "name": str,
-                               "max_batch_rows": int}
+                               "max_batch_rows": int, "max_score_pairs": int}
     POST /v1/next_logprobs {"tokens": [int...]}
                            -> {"logprobs": [float x vocab_size]}
     POST /v1/next_logprobs_batch {"contexts": [[int...]...]}
                            -> {"logprobs_f64le": str}
     POST /v1/score         {"context": [int...], "continuation": [int...]}
                            -> {"logprob": float, "per_token": [float...]}
+    POST /v1/score_batch   {"pairs": [[[int...], [int...]]...]}
+                           -> {"scores": [{"logprob": float, "per_token": [float...]}...]}
 
 ``logprobs_f64le`` is the base64 of the (N, vocab_size) matrix of the N
 contexts' next-token log-probabilities: row-major little-endian IEEE
 float64, N * vocab_size * 8 bytes, so every value arrives exactly.  A
-batch holds 1 to ``max_batch_rows`` contexts.  ``max_batch_rows`` is
-optional in ``/v1/info``: the client sends a server that does not give it
-one ``/v1/next_logprobs`` per context instead.  The integer fields of
-``/v1/info`` must be JSON integers, and ``max_batch_rows`` at least 1.
+batch holds 1 to ``max_batch_rows`` contexts.  A score batch holds 1 to
+``max_score_pairs`` [context, continuation] pairs, and its reply holds
+one /v1/score reply per pair, in order.  Both limits are optional in
+``/v1/info``: the client sends a server that does not give
+``max_batch_rows`` one ``/v1/next_logprobs`` per context, and a server
+that does not give ``max_score_pairs`` one ``/v1/score`` per pair.  The
+integer fields of ``/v1/info`` must be JSON integers, and both limits at
+least 1.
 
 Status 400 signals a contract violation, 503 a transient overload and
 500 an internal server error.  The reference server answers 400 to a
-token list (tokens, context, continuation, each of contexts) that is not
-a JSON list of JSON integers, and to a batch of no contexts or of more
-than ``MAX_BATCH_ROWS``; a batch is checked whole before the backend
-runs.  It also answers 400, and closes the connection without reading
-the body, when Content-Length is negative or exceeds BODY_BYTES_PER_TOKEN
-bytes per token of the backend's max_context plus BODY_ALLOWANCE, a bound
-``MAX_BATCH_ROWS`` times larger for a batch.  The client retries only
-transient failures (connection errors and 503) three times with
-exponential backoff before giving up; any other status fails at once.
-Replies are checked at the boundary: a reply must be JSON with the fields
-above, a batch matrix must have the expected byte length, every
-log-probability vector must be free of NaN and +inf and normalized to
-within ``REPLY_TOL``, and a score must be a non-positive number whose
-``per_token`` terms, one per continuation token, sum to it.  A reply that
-fails these checks is the server's fault and raises ``BackendError``.
-Any server may implement the protocol; the bundled reference server
-wraps an in-process backend.
+token list (tokens, context, continuation, each of contexts, each part
+of a pair) that is not a JSON list of JSON integers, to a pair that is
+not a list of two token lists, and to a batch of no contexts or pairs or
+of more than ``MAX_BATCH_ROWS``; a batch is checked whole before the
+backend runs.  It also answers 400, and closes the connection without
+reading the body, when Content-Length is negative or exceeds
+BODY_BYTES_PER_TOKEN bytes per token of the backend's max_context plus
+BODY_ALLOWANCE, a bound ``MAX_BATCH_ROWS`` times larger for either batch.
+The client retries only transient failures (connection errors and 503)
+three times with exponential backoff before giving up; any other status
+fails at once.  Replies are checked at the boundary: a reply must be
+JSON with the fields above, a batch matrix must have the expected byte
+length, every log-probability vector must be free of NaN and +inf and
+normalized to within ``REPLY_TOL``, a score batch must hold one score
+per pair, and a score must be a non-positive number whose ``per_token``
+terms, one per continuation token, sum to it.  A reply that fails these
+checks is the server's fault and raises ``BackendError``.  Any server
+may implement the protocol; the bundled reference server wraps an
+in-process backend.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from urllib.parse import urlsplit
 import numpy as np
 import requests
 
-from .backend import Backend, BackendInfo, Tokens, as_tokens, token_logprobs
+from .backend import Backend, BackendInfo, Tokens, as_tokens, scored_pairs
 from .dist import LogProbs, logsumexp
 from .errors import BackendError, ContractError
 
@@ -70,8 +78,9 @@ REPLY_TOL = 1e-6
 # most 20 digits and a separator in JSON
 BODY_BYTES_PER_TOKEN = 24
 BODY_ALLOWANCE = 4096
-# contexts one /v1/next_logprobs_batch request may carry, as the reference
-# server advertises in /v1/info
+# contexts one /v1/next_logprobs_batch request, and pairs one
+# /v1/score_batch request, may carry, as the reference server advertises in
+# /v1/info
 MAX_BATCH_ROWS = 64
 
 
@@ -104,6 +113,7 @@ class RemoteBackend(Backend):
         self.tokenizer = tokenizer
         self._info: BackendInfo | None = None
         self._max_batch_rows: int | None = None  # None: no batch endpoint
+        self._max_score_pairs: int | None = None  # None: no score batch endpoint
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         url = self.base_url + path
@@ -143,12 +153,11 @@ class RemoteBackend(Backend):
                     max_context=_json_int(payload, "max_context"),
                     name=str(payload["name"]),
                 )
-                rows = _json_int(payload, "max_batch_rows") if "max_batch_rows" in payload else None
-                if rows is not None and rows < 1:
-                    raise ValueError(f"max_batch_rows must be >= 1, got {rows}")
+                rows = _json_limit(payload, "max_batch_rows")
+                pairs = _json_limit(payload, "max_score_pairs")
             except (KeyError, TypeError, ValueError) as exc:
                 raise BackendError(f"malformed info reply: {exc!r}") from None
-            self._info, self._max_batch_rows = info, rows
+            self._info, self._max_batch_rows, self._max_score_pairs = info, rows, pairs
         return self._info
 
     def next_logprobs(self, context: Sequence[int]) -> LogProbs:
@@ -213,29 +222,70 @@ class RemoteBackend(Backend):
             )
         return rows
 
+    def score_batch(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[float]:
+        """One /v1/score_batch request per ``max_score_pairs`` pairs, or one
+        /v1/score request per pair when the server does not advertise the
+        score batch endpoint.  Every pair is checked before any score
+        request, and every reply before the next request is sent."""
+        pairs = [(as_tokens(c), as_tokens(k)) for c, k in pairs]
+        for context, continuation in pairs:
+            self._check_score_args(context, continuation)
+        self.info()  # reads max_score_pairs with the rest of /v1/info
+        step = self._max_score_pairs
+        if step is None:
+            chunks, fetch = [[p] for p in pairs], self._json_score
+        else:
+            chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
+            fetch = self._batch_scores
+        return [
+            _checked_score(reply, len(continuation))
+            for chunk in chunks
+            for reply, (_, continuation) in zip(fetch(chunk), chunk)
+        ]
+
     def score_continuation(self, context: Sequence[int], continuation: Sequence[int]) -> float:
-        context = as_tokens(context)
-        continuation = as_tokens(continuation)
-        self._check_score_args(context, continuation)
+        # the client's own entry point, so that a tracer can wrap it
+        return self.score_batch([(context, continuation)])[0]
+
+    def _json_score(self, pairs: list[tuple[Tokens, Tokens]]) -> list:
+        ((context, continuation),) = pairs
+        body = {"context": list(context), "continuation": list(continuation)}
+        return [self._request("POST", "/v1/score", body)]
+
+    def _batch_scores(self, pairs: list[tuple[Tokens, Tokens]]) -> list:
         payload = self._request(
-            "POST", "/v1/score", {"context": list(context), "continuation": list(continuation)}
+            "POST", "/v1/score_batch", {"pairs": [[list(c), list(k)] for c, k in pairs]}
         )
         try:
-            logprob = float(payload["logprob"])
-            per_token = [float(x) for x in payload["per_token"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(f"malformed score reply: {exc!r}") from None
-        if math.isnan(logprob) or logprob > 0:
-            raise BackendError(f"server returned an invalid continuation logprob {logprob}")
-        if len(per_token) != len(continuation):
-            raise BackendError(
-                f"server returned {len(per_token)} per-token logprobs "
-                f"for {len(continuation)} continuation tokens"
-            )
-        total = sum(per_token)
-        if total != logprob and not abs(total - logprob) <= REPLY_TOL * max(1.0, abs(logprob)):
-            raise BackendError(f"server's per-token logprobs sum to {total}, not {logprob}")
-        return logprob
+            replies = payload["scores"]
+            if not isinstance(replies, list):
+                raise TypeError(f"scores must be a list, got {replies!r}")
+        except (KeyError, TypeError) as exc:
+            raise BackendError(f"malformed score_batch reply: {exc!r}") from None
+        if len(replies) != len(pairs):
+            raise BackendError(f"server returned {len(replies)} scores for {len(pairs)} pairs")
+        return replies
+
+
+def _checked_score(reply, n: int) -> float:
+    """The logprob of ``reply``, the score of a continuation of ``n`` tokens,
+    once it is a non-positive number whose ``per_token`` terms, one per
+    token, sum to it."""
+    try:
+        logprob = float(reply["logprob"])
+        per_token = [float(x) for x in reply["per_token"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BackendError(f"malformed score reply: {exc!r}") from None
+    if math.isnan(logprob) or logprob > 0:
+        raise BackendError(f"server returned an invalid continuation logprob {logprob}")
+    if len(per_token) != n:
+        raise BackendError(
+            f"server returned {len(per_token)} per-token logprobs for {n} continuation tokens"
+        )
+    total = sum(per_token)
+    if total != logprob and not abs(total - logprob) <= REPLY_TOL * max(1.0, abs(logprob)):
+        raise BackendError(f"server's per-token logprobs sum to {total}, not {logprob}")
+    return logprob
 
 
 def _json_int(payload: dict, field: str) -> int:
@@ -245,6 +295,25 @@ def _json_int(payload: dict, field: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _json_limit(payload: dict, field: str) -> int | None:
+    """``payload[field]``, an optional JSON integer of at least 1; None
+    when the field is absent."""
+    if field not in payload:
+        return None
+    value = _json_int(payload, field)
+    if value < 1:
+        raise ValueError(f"{field} must be >= 1, got {value}")
+    return value
+
+
+def _score_replies(backend: Backend, pairs: list[tuple[Tokens, Tokens]]) -> list[dict]:
+    """The {"logprob", "per_token"} reply of every pair, from one
+    ``scored_pairs`` call: the per-pair scorer of /v1/score and
+    /v1/score_batch."""
+    scored = scored_pairs(backend, pairs)
+    return [{"logprob": logprob, "per_token": terms.tolist()} for logprob, terms in scored]
 
 
 def _token_list(tokens, field: str) -> tuple[int, ...]:
@@ -282,6 +351,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "max_context": info.max_context,
                 "name": info.name,
                 "max_batch_rows": MAX_BATCH_ROWS,
+                "max_score_pairs": MAX_BATCH_ROWS,
             },
         )
 
@@ -292,7 +362,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         bound = BODY_BYTES_PER_TOKEN * backend.info().max_context + BODY_ALLOWANCE
-        if self.path == "/v1/next_logprobs_batch":
+        if self.path in ("/v1/next_logprobs_batch", "/v1/score_batch"):
             bound *= MAX_BATCH_ROWS
         if not 0 <= length <= bound:
             # the body stays unread, so the connection cannot carry another request
@@ -321,12 +391,24 @@ class _Handler(BaseHTTPRequestHandler):
                 encoded = base64.b64encode(rows.tobytes()).decode("ascii")
                 self._send(200, {"logprobs_f64le": encoded})
             elif self.path == "/v1/score":
-                ctx = _token_list(body["context"], "context")
-                cont = _token_list(body["continuation"], "continuation")
-                backend._check_score_args(ctx, cont)
-                per_token = token_logprobs(backend, ctx + cont, len(ctx), backend.info().max_context)
-                logprob = float(np.cumsum(per_token)[-1])  # added in order, as score_continuation
-                self._send(200, {"logprob": logprob, "per_token": per_token.tolist()})
+                pair = (
+                    _token_list(body["context"], "context"),
+                    _token_list(body["continuation"], "continuation"),
+                )
+                self._send(200, _score_replies(backend, [pair])[0])
+            elif self.path == "/v1/score_batch":
+                pairs = body["pairs"]
+                if not (isinstance(pairs, list) and 1 <= len(pairs) <= MAX_BATCH_ROWS):
+                    raise ContractError(
+                        f"pairs must be a list of 1 to {MAX_BATCH_ROWS} "
+                        "[context, continuation] pairs"
+                    )
+                if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+                    raise ContractError("each of pairs must be a [context, continuation] list")
+                pairs = [
+                    (_token_list(c, "context"), _token_list(k, "continuation")) for c, k in pairs
+                ]
+                self._send(200, {"scores": _score_replies(backend, pairs)})
             else:
                 self._send(400, {"error": f"unknown path {self.path}"})
         except (ContractError, KeyError, TypeError) as exc:

@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .backend import Backend, Tokens
-from .boosting import BoostSpec, MCScore, boosted_next_dist_batch, score_choice
+from .boosting import BoostSpec, MCScore, boosted_next_dist_batch, score_choices
 from .decode import GenConfig, generate_dialog
 from .dist import logsumexp
 from .errors import BackendError, ContractError
@@ -92,7 +92,8 @@ def _last_token_spec(k: int | None, alpha: float) -> BoostSpec:
 def _choice_scores(
     backend: Backend, items: Sequence[MCItem | LamaItem], k: int | None, alpha: float
 ) -> list[list[MCScore]]:
-    """score_choice of every answer of every item.  An MC item pairs its
+    """score_choices of every item's answers, one backend score_batch call
+    per item, so a call holds one item's rows.  An MC item pairs its
     full context with its premise-free context and ignores k; a LAMA item
     pairs its prompt with the prompt's last k tokens.  An empty
     premise-free context becomes one end-of-text token here, the only
@@ -123,7 +124,7 @@ def _choice_scores(
                 raise ContractError(f"item {item.item_id}: empty prompt")
             short = full[-k:]
             answers = item.candidates
-        out.append([score_choice(backend, full, short, backend.encode(a), alpha) for a in answers])
+        out.append(score_choices(backend, full, short, [backend.encode(a) for a in answers], alpha))
     return out
 
 

@@ -87,7 +87,8 @@ class SparseBackend(Backend):
 
 
 class CountingBackend(Backend):
-    """Wrapper that counts calls reaching the inner backend."""
+    """Wrapper that counts the next_logprobs calls and the scored pairs
+    reaching the inner backend."""
 
     def __init__(self, inner: Backend):
         self.inner = inner
@@ -102,9 +103,10 @@ class CountingBackend(Backend):
         self.logprob_calls += 1
         return self.inner.next_logprobs(context)
 
-    def score_continuation(self, context, continuation):
-        self.score_calls += 1
-        return self.inner.score_continuation(context, continuation)
+    def score_batch(self, pairs):
+        pairs = list(pairs)
+        self.score_calls += len(pairs)
+        return self.inner.score_batch(pairs)
 
 
 def _strict_constant(name: str) -> float:

@@ -242,6 +242,77 @@ class TestTokenLogprobs:
         assert calls == [3]
 
 
+def _score_backend(kind: str, v: int, seed: int, cached: bool) -> Backend:
+    if kind == "sparse":
+        backend = SparseBackend(v, seed)  # -inf entries, the generic batch loop
+    else:
+        rng = np.random.default_rng(seed)
+        backend = ToyBackend(ToyLMParams(rng.normal(size=v) * 2, rng.normal(size=(2, v, v)) * 2))
+    return CachingBackend(backend) if cached else backend
+
+
+@st.composite
+def score_batch_cases(draw):
+    """(backend factory, pairs): pairs drawn with repeats from a small pool,
+    and a pair, as a LAMA item's last-k context can be, whose short
+    context equals its full one."""
+    v = draw(st.integers(2, 6))
+    args = (draw(st.sampled_from(["toy", "sparse"])), v, draw(st.integers(0, 2**16)),
+            draw(st.booleans()))
+    tokens = st.lists(st.integers(0, v - 1), min_size=1, max_size=5).map(tuple)
+    pool = draw(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=4))
+    pairs = draw(st.lists(st.sampled_from(pool), max_size=10))
+    return (lambda: _score_backend(*args)), pairs
+
+
+class TestScoreBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(score_batch_cases())
+    def test_equals_per_pair_bit_for_bit(self, case):
+        make, pairs = case
+        per_pair, batched = make(), make()
+        expected = [per_pair.score_continuation(c, k) for c, k in pairs]
+        assert batched.score_batch(pairs) == expected
+        if isinstance(batched, CachingBackend):
+            assert (batched.hits, batched.misses) == (per_pair.hits, per_pair.misses)
+            assert batched.score_batch(pairs) == expected  # now all hits
+            assert batched.misses == per_pair.misses
+
+    def test_sparse_scores_reach_minus_inf(self):
+        backend = SparseBackend(6, seed=2)
+        pairs = [((c,), (k, k)) for c in range(6) for k in range(6)]
+        scores = backend.score_batch(pairs)
+        assert -np.inf in scores
+        assert scores == [backend.score_continuation(*pair) for pair in pairs]
+
+    @staticmethod
+    def _row_counted(backend):
+        """``backend`` with its next_logprobs_batch calls' sizes logged."""
+        calls = []
+        batch = backend.next_logprobs_batch
+        backend.next_logprobs_batch = lambda contexts: calls.append(len(contexts)) or batch(contexts)
+        return backend, calls
+
+    def test_one_backend_call_and_no_call_for_no_pairs(self, trained_params):
+        backend, calls = self._row_counted(ToyBackend(trained_params))
+        backend.score_batch([((1, 2), (3, 4, 5)), ((6,), (7,)), ((1, 2), (3, 4, 5))])
+        assert calls == [7]
+        assert CachingBackend(backend).score_batch([]) == []
+        assert calls == [7]
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(((), (1,)), "non-empty"), (((1,), ()), "non-empty"), (((1,), (8,)), "out of range"),
+         (((1, 2, 3), (4, 5)), "exceeds max_context")],
+        ids=["empty-context", "empty-continuation", "out-of-range", "too-long"],
+    )
+    def test_every_pair_checked_before_the_backend_runs(self, bad, match):
+        backend, calls = self._row_counted(ToyBackend(ToyLMParams.zeros(8, 2), max_context=4))
+        with pytest.raises(ContractError, match=match):
+            backend.score_batch([((1,), (2,)), bad])
+        assert calls == []
+
+
 class TestCachingBackend:
     def test_second_call_identical_and_free(self, trained_params):
         counting = CountingBackend(ToyBackend(trained_params))
@@ -266,9 +337,9 @@ class TestCachingBackend:
         counting = CountingBackend(ToyBackend(trained_params))
         cached = CachingBackend(counting)
         a = cached.score_continuation((1, 2), (3,))
-        n = counting.score_calls
+        assert counting.score_calls == 1
         b = cached.score_continuation((1, 2), (3,))
-        assert counting.score_calls == n
+        assert counting.score_calls == 1
         assert a == b
 
     def test_lru_eviction(self, uniform_backend):
@@ -334,9 +405,9 @@ class RecordingBackend(Backend):
         self.log.append(("next_logprobs_batch", list(contexts)))
         return self.inner.next_logprobs_batch(contexts)
 
-    def score_continuation(self, context, continuation):
-        self.log.append(("score_continuation", (context, continuation)))
-        return self.inner.score_continuation(context, continuation)
+    def score_batch(self, pairs):
+        self.log.append(("score_batch", list(pairs)))
+        return self.inner.score_batch(pairs)
 
 
 class LRUModel:
@@ -377,6 +448,7 @@ _cache_ops = st.lists(
         st.tuples(st.just("next_logprobs"), _key),
         st.tuples(st.just("next_logprobs_batch"), st.lists(_key, max_size=6)),
         st.tuples(st.just("score_continuation"), st.tuples(_key, _key)),
+        st.tuples(st.just("score_batch"), st.lists(st.tuples(_key, _key), max_size=6)),
     ),
     max_size=30,
 )
@@ -400,9 +472,12 @@ class TestCacheAgainstLRUModel:
                 for row, ctx in zip(out, arg):
                     assert np.array_equal(row, plain.next_logprobs(ctx))
                 model.lookup("rows", arg, method, batched=True)
-            else:
+            elif method == "score_continuation":
                 assert cached.score_continuation(*arg) == plain.score_continuation(*arg)
-                model.lookup("scores", [arg], method, batched=False)
+                model.lookup("scores", [arg], "score_batch", batched=True)
+            else:
+                assert cached.score_batch(arg) == [plain.score_continuation(*a) for a in arg]
+                model.lookup("scores", arg, method, batched=True)
             assert (cached.hits, cached.misses) == (model.hits, model.misses)
             assert recording.log == model.log
         assert list(cached._logprobs) == list(model.stores["rows"])
@@ -446,7 +521,7 @@ class TestCacheKeyRule:
         cached, recording = self._cached(trained_params)
         for form in KEY_FORMS:
             assert cached.score_continuation(form, form) == expected
-        assert recording.log == [("score_continuation", ((1, 2), (1, 2)))]
+        assert recording.log == [("score_batch", [((1, 2), (1, 2))])]
         assert (cached.hits, cached.misses) == (len(KEY_FORMS) - 1, 1)
         assert list(cached._scores) == [((1, 2), (1, 2))]
 

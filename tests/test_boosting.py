@@ -16,6 +16,7 @@ from cboost.boosting import (
     grid_search,
     resolve_expert_contexts,
     score_choice,
+    score_choices,
 )
 from cboost.decode import GenConfig, generate
 from cboost.errors import ContractError
@@ -161,6 +162,20 @@ class TestScoreChoice:
     def test_empty_answer_rejected(self, trained_backend):
         with pytest.raises(ContractError):
             score_choice(trained_backend, (1,), (1,), (), 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_choices_equal_one_answer_at_a_time(self, trained_backend, alpha):
+        answers = [(4, 5), (6,), (4, 5), (1, 2, 3)]
+        got = score_choices(trained_backend, (1, 2, 3), (3,), answers, alpha)
+        assert got == [score_choice(trained_backend, (1, 2, 3), (3,), a, alpha) for a in answers]
+
+    def test_empty_answer_rejected_before_any_score(self, trained_backend):
+        calls = []
+        backend = CachingBackend(trained_backend)  # a fresh object to patch
+        backend.score_batch = lambda pairs: calls.append(pairs)
+        with pytest.raises(ContractError, match="answer must be non-empty"):
+            score_choices(backend, (1,), (1,), [(2,), ()], 0.0)
+        assert calls == []
 
 
 def flip_params_and_tokenizer():

@@ -656,6 +656,27 @@ class TestMalformedMetricsInputExit2:
         assert rc == 2
         assert "refs.jsonl:1: missing field 'references'" in capsys.readouterr().err
 
+    def test_ref_missing_id_exits_before_scoring(self, workspace, tmp_path, capsys, monkeypatch):
+        from cboost.toy_lm import ToyBackend
+
+        rows = []  # contexts the toy model scored
+        batch, one = ToyBackend.next_logprobs_batch, ToyBackend.next_logprobs
+        monkeypatch.setattr(ToyBackend, "next_logprobs_batch",
+                            lambda self, contexts: rows.append(len(contexts)) or batch(self, contexts))
+        monkeypatch.setattr(ToyBackend, "next_logprobs",
+                            lambda self, context: rows.append(1) or one(self, context))
+        text = "w2 w3 w4 w5 w2"  # long enough for BLEU's 4-grams
+        gen_lines = [json.dumps(dict(GEN_RECORD, id=i, text=text)) for i in ("g", "h")]
+        refs = [json.dumps({"id": "g", "references": [text]})]
+        rc, _ = self.run_metrics(workspace, tmp_path, gen_lines, refs)
+        assert rc == 2
+        assert "no references for generation h" in capsys.readouterr().err
+        assert rows == []
+        refs.append(json.dumps({"id": "h", "references": [text]}))
+        rc, _ = self.run_metrics(workspace, tmp_path, gen_lines, refs)
+        assert rc == 0
+        assert sum(rows) > 0  # the wrap counts what a good run scores
+
     def test_text_checked_only_with_refs(self, workspace, tmp_path, capsys):
         record = {k: v for k, v in GEN_RECORD.items() if k != "text"}
         rc, _ = self.run_metrics(workspace, tmp_path, [json.dumps(record)])

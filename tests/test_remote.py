@@ -8,10 +8,13 @@ from urllib.parse import urlsplit
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs
 from cboost import remote
 from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist_batch
+from cboost.cli import main
 from cboost.errors import BackendError, ContractError
 from cboost.remote import (
     BODY_ALLOWANCE,
@@ -21,7 +24,8 @@ from cboost.remote import (
     BackendServer,
     RemoteBackend,
 )
-from cboost.toy_lm import ToyBackend
+from cboost.tasks import LamaItem, eval_lama_style
+from cboost.toy_lm import ToyBackend, ToyLMParams, WhitespaceTokenizer
 
 from conftest import CountingBackend, SparseBackend
 
@@ -82,6 +86,7 @@ class TestProtocol:
         assert info.name == local.info().name
         resp = requests.get(server.url + "/v1/info", timeout=5)
         assert resp.json()["max_batch_rows"] == MAX_BATCH_ROWS
+        assert resp.json()["max_score_pairs"] == MAX_BATCH_ROWS
 
     def test_next_logprobs_roundtrip_exact(self, served):
         local, server = served
@@ -358,13 +363,14 @@ def _stub_httpd():
 
 @pytest.fixture
 def stub_server(_stub_httpd):
-    """start(reply, status=200, info=None) -> (client, handler class)."""
+    """start(reply, status=200, info=None, session=None) -> (client, handler
+    class)."""
     url, handler = _stub_httpd
 
-    def start(reply, status=200, info=None):
+    def start(reply, status=200, info=None, session=None):
         handler.reply, handler.status, handler.paths = reply, status, []
         handler.info = _StubHandler.INFO if info is None else info
-        return RemoteBackend(url), handler
+        return RemoteBackend(url, session=session), handler
 
     return start
 
@@ -444,10 +450,14 @@ class TestReplyValidation:
          {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": 8.0},
          {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": "8"},
          {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": True},
-         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": None}],
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_batch_rows": None},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_score_pairs": 0},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_score_pairs": True},
+         {"vocab_size": 4, "max_context": 16, "name": "x", "max_score_pairs": 8.0}],
         ids=["missing-fields", "wrong-type", "vocab-too-small", "vocab-float", "vocab-string",
              "vocab-bool", "context-float", "context-bool", "rows-zero", "rows-negative",
-             "rows-float", "rows-string", "rows-bool", "rows-null"],
+             "rows-float", "rows-string", "rows-bool", "rows-null", "pairs-zero", "pairs-bool",
+             "pairs-float"],
     )
     def test_malformed_info_is_backend_error(self, stub_server, info):
         client, _ = stub_server({}, info=info)
@@ -663,3 +673,221 @@ class TestBatchServerErrors:
             client = make_client(server)
             with pytest.raises(BackendError, match="HTTP 500"):
                 client.next_logprobs_batch([(1,), (2,)])
+
+
+# ---------------------------------------------------------------------------
+# /v1/score_batch
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def served_sparse():
+    backend = SparseBackend(8, seed=5)  # rows with -inf entries
+    with BackendServer(backend) as server:
+        yield backend, server
+
+
+_pair_tokens = st.lists(st.integers(0, 7), min_size=1, max_size=6).map(tuple)
+# repeats drawn from a small pool, as a LAMA item whose last-k context is
+# its whole prompt repeats its pairs
+_score_pairs = st.lists(st.tuples(_pair_tokens, _pair_tokens), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=12)
+)
+
+
+class TestScoreBatchExactness:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["toy", "sparse"]), _score_pairs)
+    def test_equals_per_pair_bit_for_bit(self, served, served_sparse, kind, pairs):
+        local, server = served if kind == "toy" else served_sparse
+        client = make_client(server)
+        expected = [local.score_continuation(c, k) for c, k in pairs]
+        assert client.score_batch(pairs) == expected
+        assert [client.score_continuation(c, k) for c, k in pairs] == expected
+
+    def test_minus_inf_scores_arrive(self, served_sparse):
+        local, server = served_sparse
+        pairs = [((c,), (t, t)) for c in range(8) for t in range(8)]
+        got = make_client(server).score_batch(pairs)
+        assert -np.inf in got
+        assert got == [local.score_continuation(*pair) for pair in pairs]
+
+    def test_chunks_of_max_score_pairs(self, served):
+        local, server = served
+        session = PathRecordingSession()
+        client = make_client(server, session=session)
+        pairs = [((i % 8, 1), (i // 8 % 8,)) for i in range(2 * MAX_BATCH_ROWS + 1)]
+        assert client.score_batch(pairs) == [local.score_continuation(*pair) for pair in pairs]
+        assert session.paths == ["/v1/info"] + ["/v1/score_batch"] * 3
+
+    def test_reply_equals_per_pair_score_replies(self, served):
+        _, server = served
+        pairs = [[[0, 1, 5], [2, 3, 7]], [[4], [4, 4]], [[0, 1, 5], [2, 3, 7]]]
+        batch = requests.post(server.url + "/v1/score_batch", json={"pairs": pairs}, timeout=5)
+        assert batch.status_code == 200
+        singles = [
+            requests.post(
+                server.url + "/v1/score", json={"context": c, "continuation": k}, timeout=5
+            ).json()
+            for c, k in pairs
+        ]
+        assert batch.json() == {"scores": singles}
+
+    @settings(max_examples=40, deadline=None)
+    @given(_score_pairs)
+    def test_cache_over_remote_counts_per_pair(self, served, pairs):
+        local, server = served
+        session = PathRecordingSession()
+        batched = CachingBackend(make_client(server, session=session))
+        per_pair = CachingBackend(local)
+        expected = [per_pair.score_continuation(c, k) for c, k in pairs]
+        assert batched.score_batch(pairs) == expected
+        assert (batched.hits, batched.misses) == (per_pair.hits, per_pair.misses)
+        assert session.paths == (["/v1/info", "/v1/score_batch"] if pairs else [])
+
+    def test_server_without_score_batch_gets_one_score_per_pair(self, stub_server):
+        session = PathRecordingSession()
+        client, handler = stub_server({"logprob": -1.5, "per_token": [-1.0, -0.5]}, session=session)
+        assert client.score_batch([((0,), (1, 2)), ((3,), (2, 1)), ((0,), (1, 2))]) == [-1.5] * 3
+        assert session.paths == ["/v1/info"] + ["/v1/score"] * 3
+
+    def test_lama_eval_sends_one_score_batch(self, tmp_path, monkeypatch):
+        words = [f"w{i}" for i in range(6)]
+        tokenizer = WhitespaceTokenizer(words)
+        rng = np.random.default_rng(11)
+        params = ToyLMParams(rng.normal(size=8), rng.normal(size=(3, 8, 8)))
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(words))
+        item = LamaItem("q0", "w1 w2 w3 w4 w5", ("w0", "w1 w2", "w3", "w4 w0"), 2)
+        data = tmp_path / "lama.jsonl"
+        data.write_text(json.dumps(
+            {"id": item.item_id, "prompt": item.prompt, "candidates": list(item.candidates),
+             "gold": item.gold}
+        ) + "\n")
+        session = PathRecordingSession()
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        report = tmp_path / "r.json"
+        with BackendServer(CachingBackend(ToyBackend(params, tokenizer))) as server:
+            rc = main([
+                "eval", "--task", "lama", "--data", str(data), "--backend", f"remote:{server.url}",
+                "--vocab", str(vocab), "--k", "2", "--alpha", "-0.5", "--report", str(report),
+            ])
+        assert rc == 0
+        # 4 candidates under 2 contexts: one round trip where 8 /v1/score went
+        assert session.paths == ["/v1/info", "/v1/score_batch"]
+        local = eval_lama_style(ToyBackend(params, tokenizer), [item], 2, -0.5)
+        assert json.loads(report.read_text())["per_item"] == local.per_item
+
+
+SCORE_INFO = dict(_StubHandler.INFO, max_score_pairs=8)
+GOOD_SCORE = {"logprob": -1.0, "per_token": [-1.0]}
+
+
+class TestScoreBatchReplyValidation:
+    @pytest.mark.parametrize(
+        "reply, match",
+        [
+            ({"scores": [GOOD_SCORE] * 2}, "2 scores for 3 pairs"),
+            ({"scores": [GOOD_SCORE] * 4}, "4 scores for 3 pairs"),
+            ({"scores": [GOOD_SCORE, {"logprob": float("nan"), "per_token": [float("nan")]},
+                         GOOD_SCORE]}, "invalid"),
+            ({"scores": [GOOD_SCORE, GOOD_SCORE, {"logprob": 0.5, "per_token": [0.5]}]},
+             "invalid"),
+            ({"scores": [GOOD_SCORE, {"logprob": -1.0, "per_token": [-0.5, -0.5]}, GOOD_SCORE]},
+             "2 per-token"),
+            ({"scores": [{"logprob": -1.0, "per_token": [-0.5]}, GOOD_SCORE, GOOD_SCORE]},
+             "sum to"),
+            ({"scores": [GOOD_SCORE, [-1.0], GOOD_SCORE]}, "malformed score reply"),
+            ({"scores": "many"}, "malformed score_batch"),
+            ({"logprob": -1.0, "per_token": [-1.0]}, "malformed score_batch"),
+            ([GOOD_SCORE] * 3, "malformed score_batch"),
+        ],
+        ids=["too-few", "too-many", "nan", "positive", "per-token-length", "bad-sum",
+             "not-an-object", "not-a-list", "missing-field", "bare-list"],
+    )
+    def test_bad_reply_is_backend_error_without_retry(self, stub_server, reply, match):
+        client, handler = stub_server(reply, info=SCORE_INFO)
+        with pytest.raises(BackendError, match=match):
+            client.score_batch([((0,), (1,)), ((1, 2), (3,)), ((3,), (2,))])
+        assert handler.paths == ["/v1/score_batch"]
+
+    def test_chunks_follow_advertised_pairs(self, stub_server):
+        client, handler = stub_server({"scores": [GOOD_SCORE] * 3},
+                                      info=dict(SCORE_INFO, max_score_pairs=3))
+        assert client.score_batch([((0,), (1,))] * 9) == [-1.0] * 9
+        assert handler.paths == ["/v1/score_batch"] * 3
+
+    def test_pairs_checked_before_any_request(self, stub_server):
+        client, handler = stub_server({"scores": [GOOD_SCORE]}, info=SCORE_INFO)
+        with pytest.raises(ContractError):
+            client.score_batch([((0,), (1,)), ((0,), ())])
+        assert handler.paths == []
+
+    def test_bad_reply_in_cli_eval_exit_3(self, stub_server, tmp_path, capsys):
+        client, _ = stub_server({"scores": [GOOD_SCORE]}, info=SCORE_INFO)
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(["a", "b"]))
+        data = tmp_path / "lama.jsonl"
+        data.write_text(json.dumps({"id": 1, "prompt": "a b", "candidates": ["a", "b"], "gold": 0}))
+        rc = main([
+            "eval", "--task", "lama", "--data", str(data), "--backend", f"remote:{client.base_url}",
+            "--vocab", str(vocab), "--k", "1", "--alpha", "-0.5", "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 3
+        assert "1 scores for 4 pairs" in capsys.readouterr().err
+
+
+class TestScoreBatchServerErrors:
+    @pytest.mark.parametrize(
+        "pairs, match",
+        [
+            ("[[1], [2]]", "1 to"),
+            ({"context": [1], "continuation": [2]}, "1 to"),
+            ([], "1 to"),
+            ([[[1], [2]]] * (MAX_BATCH_ROWS + 1), "1 to"),
+            ([[[1], [2]], [[1]]], "[context, continuation]"),
+            ([[[1], [2]], [[1], [2], [3]]], "[context, continuation]"),
+            ([[[1], [2]], 3], "[context, continuation]"),
+            ([[[1], [2]], [[True], [2]]], "must be a list of integers"),
+            ([[[1], [2]], [[1], [2.0]]], "must be a list of integers"),
+            ([[[1], [2]], [[1], "2"]], "must be a list of integers"),
+            ([[[1], [2]], [[], [2]]], "non-empty"),
+            ([[[1], [2]], [[1] * 60, [2] * 5]], "exceeds max_context"),
+            ([[[1], [2]], [[1], [99]]], "out of range"),
+        ],
+        ids=["string", "object", "no-pairs", "too-many-pairs", "one-part", "three-parts",
+             "int-pair", "bool-token", "float-token", "string-continuation", "empty-context",
+             "over-max-context", "out-of-range"],
+    )
+    def test_bad_batch_is_400_before_the_backend_runs(self, counted, pairs, match):
+        counting, server = counted
+        calls = counting.logprob_calls
+        resp = requests.post(server.url + "/v1/score_batch", json={"pairs": pairs}, timeout=5)
+        assert resp.status_code == 400
+        assert match in resp.json()["error"]
+        assert counting.logprob_calls == calls
+
+    def test_missing_field_is_400(self, served):
+        _, server = served
+        resp = requests.post(server.url + "/v1/score_batch", json={"contexts": [[1]]}, timeout=5)
+        assert resp.status_code == 400
+
+    def test_content_length_over_scaled_bound_is_400_without_reading(self, served):
+        local, server = served
+        bound = MAX_BATCH_ROWS * (BODY_BYTES_PER_TOKEN * local.info().max_context + BODY_ALLOWANCE)
+        host, port = server.url[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=3)
+        conn.putrequest("POST", "/v1/score_batch")
+        conn.putheader("Content-Length", str(bound + 1))
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
+        conn.close()
+
+    def test_body_at_the_scaled_bound_is_read(self, served):
+        local, server = served
+        bound = MAX_BATCH_ROWS * (BODY_BYTES_PER_TOKEN * local.info().max_context + BODY_ALLOWANCE)
+        body = json.dumps({"pairs": [[[1, 2], [3]]]}).ljust(bound).encode()
+        resp = requests.post(server.url + "/v1/score_batch", data=body, timeout=5)
+        assert resp.status_code == 200
+        assert resp.json()["scores"][0]["logprob"] == local.score_continuation((1, 2), (3,))

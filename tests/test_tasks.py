@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from cboost.boosting import MAX_CONTEXT, BoostSpec, boosted_next_dist, score_choice
+from cboost.boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist, score_choice
 from cboost.decode import GenConfig, generate
 from cboost.dist import logsumexp
 from cboost.errors import BackendError, ContractError
@@ -324,8 +324,8 @@ def first_argmax(values) -> int:
 
 class TestCellScorerOracles:
     """evaluate_cell and eval_items against per-item loops over
-    boosted_next_dist and score_choice, which share no code with the cell
-    scorer."""
+    boosted_next_dist and per-pair score_continuation, which share no
+    batching with the cell scorer."""
 
     @staticmethod
     def last_token_oracle(backend, items, spec):
@@ -367,8 +367,13 @@ class TestCellScorerOracles:
     def choice_oracle(backend, items, contexts, answers, alpha):
         out = []
         for item in items:
-            full, short = contexts(item)
-            scores = [score_choice(backend, full, short, backend.encode(a), alpha) for a in answers(item)]
+            full_ctx, short_ctx = contexts(item)
+            scores = []
+            for answer in answers(item):
+                answer = backend.encode(answer)
+                full = backend.score_continuation(full_ctx, answer)
+                short = backend.score_continuation(short_ctx, answer)
+                scores.append(MCScore(full, short, full if alpha == 0 else full + alpha * short))
             out.append((first_argmax([s.combined for s in scores]), scores))
         return out
 
@@ -419,6 +424,20 @@ class TestCellScorerOracles:
             lambda it: it.candidates, -0.5,
         )
         self.check_choices(backend, items, k, -0.5, oracle)
+
+    @pytest.mark.parametrize("k", [1, 9])
+    def test_one_score_batch_call_per_item(self, k):
+        # k = 9 covers every prompt, so each answer's two pairs are equal
+        backend = TestEvaluateCell.word_backend()
+        calls = []
+        score_batch = backend.score_batch
+        backend.score_batch = lambda pairs: calls.append(len(pairs)) or score_batch(pairs)
+        lama = [LamaItem("l0", "a b c d", ("e", "a b"), gold=0),
+                LamaItem("l1", "e e b", ("a", "b", "c", "d"), gold=1)]
+        mc = [MCItem("m0", "a b c", "b c", ("d", "e a", "b"), gold=1)]
+        eval_items(backend, lama, k, -0.5)
+        eval_items(backend, mc, k, -0.5)
+        assert calls == [4, 8, 6]
 
     @pytest.mark.parametrize("gold, accuracy", [(0, 1.0), (1, 0.0)])
     def test_tie_goes_to_lowest_index(self, gold, accuracy):
