@@ -10,14 +10,16 @@ backend owns its tokenizer, so the rest of the toolkit never sees raw text.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import is_not, not_
 from typing import Sequence
 
 import numpy as np
 
 from .dist import LogProbs
-from .errors import ContractError
+from .errors import BackendError, ContractError
 
 Tokens = tuple[int, ...]
 
@@ -171,20 +173,29 @@ def _as_tuple(seq: Sequence[int]) -> tuple:
     return seq if isinstance(seq, tuple) else as_tokens(seq)
 
 
+def _as_tuples(seqs: Sequence[Sequence[int]]) -> list[tuple]:
+    """``_as_tuple`` of every sequence, as a new list.  When all of them are
+    tuples, one type check over the list stands in for the per-sequence
+    calls."""
+    seqs = list(seqs)
+    return seqs if set(map(type, seqs)) <= {tuple} else list(map(_as_tuple, seqs))
+
+
 class CachingBackend(Backend):
     """Bounded LRU memoization of next-token vectors and continuation scores.
 
     Keys are token-id tuples: a tuple is its own key, and any other
     sequence is normalized with ``as_tokens`` first (``_as_tuple``), so a
     list, an array and a tuple of numpy ints of the same ids share one
-    entry.  Every entry point looks its keys up through ``_cached``, with
-    a fill from the inner backend: next_logprobs from the inner
-    next_logprobs, next_logprobs_batch from the inner next_logprobs_batch,
-    and score_batch and score_continuation from the inner score_batch.
-    The cache is internally synchronized: ``cboost serve`` answers each
-    request on its own thread, and all of them share one instance.  Cached
-    vectors are returned read-only, and must be identical to uncached
-    results to the last bit.
+    entry.  A batch whose contexts are all tuples is checked once for that
+    (``_as_tuples``) and used as it is.  Every entry point looks its keys
+    up through ``_cached``, with a fill from the inner backend:
+    next_logprobs from the inner next_logprobs, next_logprobs_batch from
+    the inner next_logprobs_batch, and score_batch and score_continuation
+    from the inner score_batch.  The cache is internally synchronized:
+    ``cboost serve`` answers each request on its own thread, and all of
+    them share one instance.  Cached vectors are returned read-only, and
+    must be identical to uncached results to the last bit.
     """
 
     def __init__(self, inner: Backend, capacity: int = DEFAULT_CACHE_CAPACITY):
@@ -208,7 +219,7 @@ class CachingBackend(Backend):
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
         """The misses are filled by one inner batch call.  The result is
         read-only."""
-        rows = self._cached(self._logprobs, list(map(_as_tuple, contexts)), self._fill_batch)
+        rows = self._cached(self._logprobs, _as_tuples(contexts), self._fill_batch)
         out = np.array(rows) if rows else np.empty((0, self.info().vocab_size))
         out.setflags(write=False)
         return out
@@ -225,38 +236,42 @@ class CachingBackend(Backend):
     def _cached(self, store: OrderedDict, keys: list, fill) -> list:
         """The value of each key: hits come from ``store``, and the distinct
         misses, in first-seen order, from one ``fill(misses)`` call, which
-        returns their values in that order.  Hits and misses count per
-        key, as one call per key would count them: a key repeated among
-        the misses is one miss, then hits.  The store then drops its least
-        recently used entries down to ``capacity``."""
-        values = []
-        missing: dict = {}  # miss key -> index into the fill
-        repeats = 0  # keys that an earlier key of this call missed
+        must return one value per miss, in that order (else BackendError,
+        with nothing stored).  Hits and misses count per key, as one call
+        per key would count them: a key repeated among the misses is one
+        miss, then hits.  Every hit moves to the most recently used end in
+        key order, and the misses follow in first-seen order.  The store
+        then drops its least recently used entries down to ``capacity``.
+
+        The lookups and moves map the store's own methods over the keys, so
+        an all-hit call runs no Python code per key; no stored value is
+        ever None, and values are told from None by identity, since
+        ``==`` on an array does not give one bool."""
         with self._lock:
-            for key in keys:
-                value = store.get(key)
-                if value is not None:
-                    self.hits += 1
-                    store.move_to_end(key)
-                elif key in missing:
-                    repeats += 1
-                else:
-                    missing[key] = len(missing)
-                values.append(value)
-        if not missing:
+            values = list(map(store.get, keys))
+            found = list(map(is_not, values, repeat(None)))
+            hit_keys = keys if all(found) else list(compress(keys, found))
+            deque(map(store.move_to_end, hit_keys), 0)
+            self.hits += len(hit_keys)
+        if len(hit_keys) == len(keys):
             return values
+        # distinct misses in first-seen order -> index into the fill
+        missing = dict(zip(dict.fromkeys(compress(keys, map(not_, found))), count()))
         fresh = fill(list(missing))
+        if len(fresh) != len(missing):
+            raise BackendError(
+                f"backend returned {len(fresh)} values for {len(missing)} cache misses"
+            )
         with self._lock:
-            self.misses += len(fresh)
-            self.hits += repeats
-            for key, value in zip(missing, fresh):
-                store[key] = value
-                store.move_to_end(key)
+            self.misses += len(missing)
+            self.hits += len(keys) - len(hit_keys) - len(missing)  # repeated misses
+            store.update(zip(missing, fresh))
+            deque(map(store.move_to_end, missing), 0)
             while len(store) > self.capacity:
                 store.popitem(last=False)
-        if len(fresh) == len(keys):  # every key a distinct miss
+        if len(missing) == len(keys):  # every key a distinct miss
             return fresh
-        return [fresh[missing[key]] if value is None else value for key, value in zip(keys, values)]
+        return [value if ok else fresh[missing[key]] for key, value, ok in zip(keys, values, found)]
 
     def _fill_one(self, keys: list[Tokens]) -> list[np.ndarray]:
         value = np.asarray(self.inner.next_logprobs(keys[0]), dtype=np.float64)

@@ -13,11 +13,12 @@ penalizes tokens that are already predictable from the short context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .backend import Backend, Tokens, _as_tuple, as_tokens
+from .backend import Backend, Tokens, _as_tuple, _as_tuples, as_tokens
 from .dist import LogProbs, log_linear_mix, uniform_logprobs
 from .errors import ContractError
 
@@ -150,36 +151,55 @@ def boosted_next_dist_batch(
 ) -> np.ndarray:
     """Row i is boosted_next_dist(backend, contexts[i], spec), bit for bit.
 
-    A tuple context is used as it is (``_as_tuple``), and each context is
-    planned once per distinct length, or per distinct context under an
-    after-separator spec.  Rows whose plans have equal weights form a group
-    (the common case; a fixed k covering a context collapses its experts
-    into one).  Every expert context goes to the backend in one
-    next_logprobs_batch call, group by group and expert by expert, so a
-    group's expert e is one block of rows, and one row-wise log_linear_mix
-    call mixes each group's blocks.
+    A tuple context is used as it is (``_as_tuples``).  Each distinct
+    length is planned once, or each distinct context under an
+    after-separator spec, and plans with equal weights form a group (the
+    common case; a fixed k covering a context collapses its experts into
+    one).  Rows join their group through their plan key, and each expert
+    cuts its rows' contexts with one slice per plan; an expert that reads
+    every row's whole context passes the context tuples as they are.
+    Every expert context goes to the backend in one next_logprobs_batch
+    call, group by group and expert by expert, so a group's expert e is one
+    block of rows, and one row-wise log_linear_mix call mixes each group's
+    blocks.  When one group covers every row, its mix is the result, a
+    fresh array like every result.
     """
-    contexts = list(map(_as_tuple, contexts))
-    plan_keys = contexts if spec.separator is not None else map(len, contexts)
-    plans: dict = {}  # plan key -> (keeps, weights)
-    keeps = []  # row -> how many last tokens each of its experts reads
-    groups: dict[tuple[float, ...], list[int]] = {}  # weights -> rows
-    for i, (key, c) in enumerate(zip(plan_keys, contexts)):
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _plan(c, spec)
-        keeps.append(plan[0])
-        groups.setdefault(plan[1], []).append(i)
-    flat = [contexts[i][-keeps[i][e] :] for weights, rows in groups.items()
-            for e in range(len(weights)) for i in rows]
+    contexts = _as_tuples(contexts)
+    keys = contexts if spec.separator is not None else list(map(len, contexts))
+    firsts = dict(zip(keys, contexts))  # plan key -> a context with that key
+    plans = {key: _plan(c, spec) for key, c in firsts.items()}
+    groups: dict[tuple[float, ...], list] = {}  # weights -> plan keys
+    for key, (_, weights) in plans.items():
+        groups.setdefault(weights, []).append(key)
+    if len(groups) == 1:
+        members = [(slice(None), contexts, keys)]
+    else:  # (rows, their contexts, their plan keys) of each group
+        group_of = {key: g for g, group in enumerate(groups.values()) for key in group}
+        ids = np.fromiter(map(group_of.__getitem__, keys), np.intp, len(keys))
+        members = [(rows, [contexts[i] for i in rows], [keys[i] for i in rows])
+                   for rows in (np.flatnonzero(ids == g) for g in range(len(groups)))]
+    flat = []
+    for (weights, group), (_, cs, ks) in zip(groups.items(), members):
+        for e in range(len(weights)):
+            reads = {key: plans[key][0][e] for key in group}  # last tokens expert e reads
+            if all(m == len(firsts[key]) for key, m in reads.items()):
+                flat += cs  # the whole contexts, as they are
+            else:
+                cuts = {key: slice(-m, None) for key, m in reads.items()}
+                flat += map(getitem, cs, map(cuts.__getitem__, ks))
     vecs = backend.next_logprobs_batch(flat)
-    out = np.empty((len(contexts), backend.info().vocab_size))
-    s = 0  # the group's first row in vecs
-    for weights, rows in groups.items():
-        n = len(rows)
+    v = backend.info().vocab_size
+    mixes, s = [], 0  # s: the group's first row in vecs
+    for weights, (_, cs, _) in zip(groups, members):
+        n = len(cs)
         experts = [vecs[s + e * n : s + (e + 1) * n] for e in range(len(weights))]
-        out[rows] = log_linear_mix(experts, weights) if weights else uniform_logprobs(out.shape[1])
+        mixes.append(log_linear_mix(experts, weights) if weights else uniform_logprobs(v))
         s += len(weights) * n
+    if len(mixes) == 1 and mixes[0].ndim == 2:  # one group's mix of every row, not a uniform vector
+        return mixes[0]
+    out = np.empty((len(contexts), v))
+    for (rows, _, _), mix in zip(members, mixes):
+        out[rows] = mix
     return out
 
 

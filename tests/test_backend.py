@@ -1,16 +1,17 @@
 import json
 import shutil
+import sys
 import threading
 from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cboost.backend import Backend, BackendInfo, CachingBackend, token_logprobs
 from cboost.cli import load_backend, vocab_sidecar_path
-from cboost.errors import ContractError
+from cboost.errors import BackendError, ContractError
 from cboost.remote import RemoteBackend
 from cboost.rng import named_rng
 from cboost.toy_lm import ToyBackend, ToyLMParams, WhitespaceTokenizer, save_params
@@ -443,45 +444,118 @@ class LRUModel:
 
 
 _key = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+# a key as a caller may give it: a tuple is its own key, a tuple of numpy
+# ints finds the same entry, and a list or an array is normalized first
+_formed_key = st.builds(
+    lambda form, key: form(key),
+    st.sampled_from([tuple, list, np.array, lambda key: tuple(map(np.int64, key))]),
+    _key,
+)
 _cache_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("next_logprobs"), _key),
-        st.tuples(st.just("next_logprobs_batch"), st.lists(_key, max_size=6)),
-        st.tuples(st.just("score_continuation"), st.tuples(_key, _key)),
-        st.tuples(st.just("score_batch"), st.lists(st.tuples(_key, _key), max_size=6)),
+        st.tuples(st.just("next_logprobs"), _formed_key),
+        st.tuples(st.just("next_logprobs_batch"), st.lists(_formed_key, max_size=6)),
+        st.tuples(st.just("score_continuation"), st.tuples(_formed_key, _formed_key)),
+        st.tuples(st.just("score_batch"), st.lists(st.tuples(_formed_key, _formed_key), max_size=6)),
+        # the last batch call again: all hits when its keys still fit
+        st.tuples(st.just("again"), st.none()),
     ),
     max_size=30,
 )
 
 
+def _canonical(key) -> tuple:
+    return tuple(map(int, key))
+
+
 class TestCacheAgainstLRUModel:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4), _cache_ops)
+    @given(st.integers(1, 6), _cache_ops)
+    @example(4, [("next_logprobs_batch", [(1,), [2, 0], np.array([2, 0])]),
+                 ("again", None),
+                 ("next_logprobs_batch", [(np.int64(2), np.int64(0)), [1], (1,), (2, 0)]),
+                 ("score_batch", [((1,), [2]), (np.array([1]), (2,))]),
+                 ("again", None)])
     def test_values_counts_and_inner_calls(self, trained_params, capacity, ops):
         plain = ToyBackend(trained_params)
         recording = RecordingBackend(ToyBackend(trained_params))
         cached = CachingBackend(recording, capacity=capacity)
         model = LRUModel(capacity)
+        last_batch = None
         for method, arg in ops:
+            if method == "again":
+                if last_batch is None:
+                    continue
+                method, arg = last_batch
             if method == "next_logprobs":
                 assert np.array_equal(cached.next_logprobs(arg), plain.next_logprobs(arg))
-                model.lookup("rows", [arg], method, batched=False)
+                model.lookup("rows", [_canonical(arg)], method, batched=False)
             elif method == "next_logprobs_batch":
                 out = cached.next_logprobs_batch(arg)
                 assert out.shape == (len(arg), 8)
                 for row, ctx in zip(out, arg):
                     assert np.array_equal(row, plain.next_logprobs(ctx))
-                model.lookup("rows", arg, method, batched=True)
+                model.lookup("rows", list(map(_canonical, arg)), method, batched=True)
+                last_batch = method, arg
             elif method == "score_continuation":
                 assert cached.score_continuation(*arg) == plain.score_continuation(*arg)
-                model.lookup("scores", [arg], "score_batch", batched=True)
+                model.lookup("scores", [tuple(map(_canonical, arg))], "score_batch", batched=True)
             else:
                 assert cached.score_batch(arg) == [plain.score_continuation(*a) for a in arg]
-                model.lookup("scores", arg, method, batched=True)
+                model.lookup("scores", [tuple(map(_canonical, a)) for a in arg], method, batched=True)
+                last_batch = method, arg
             assert (cached.hits, cached.misses) == (model.hits, model.misses)
             assert recording.log == model.log
-        assert list(cached._logprobs) == list(model.stores["rows"])
-        assert list(cached._scores) == list(model.stores["scores"])
+            assert list(cached._logprobs) == list(model.stores["rows"])
+            assert list(cached._scores) == list(model.stores["scores"])
+
+
+class WrongCountBackend(Backend):
+    """A batch call returns ``extra`` more rows, or scores, than it was
+    asked for (one fewer for extra = -1); next_logprobs is right."""
+
+    def __init__(self, inner: Backend, extra: int):
+        self.inner = inner
+        self.extra = extra
+
+    def info(self):
+        return self.inner.info()
+
+    def next_logprobs(self, context):
+        return self.inner.next_logprobs(context)
+
+    def next_logprobs_batch(self, contexts):
+        rows = self.inner.next_logprobs_batch(list(contexts) + [(1,)] * max(self.extra, 0))
+        return rows[: len(rows) + min(self.extra, 0)]
+
+    def score_batch(self, pairs):
+        scores = self.inner.score_batch(list(pairs) + [((1,), (1,))] * max(self.extra, 0))
+        return scores[: len(scores) + min(self.extra, 0)]
+
+
+class TestFillLengthCheck:
+    """A fill that returns the wrong number of values is a backend fault,
+    raised before anything is stored."""
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("method", ["next_logprobs_batch", "score_batch"])
+    def test_wrong_count_raises_and_stores_nothing(self, trained_params, method, extra):
+        wrong = WrongCountBackend(ToyBackend(trained_params), 0)
+        cached = CachingBackend(wrong)
+        cached.next_logprobs_batch([(3,)])  # an entry in each store
+        cached.score_batch([((3,), (4,))])
+        wrong.extra = extra
+
+        def stores():  # every key, in order, and the identity of its value
+            return [[(k, id(v)) for k, v in store.items()] for store in (cached._logprobs, cached._scores)]
+
+        before = stores()
+        keys = [(1, 2), (2,), (1, 2)]
+        arg = keys if method == "next_logprobs_batch" else [(k, (5,)) for k in keys]
+        with pytest.raises(BackendError, match=f"returned {2 + extra} values for 2 cache misses"):
+            getattr(cached, method)(arg)
+        assert stores() == before
+        assert cached.misses == 2
 
 
 # every form of the context (1, 2): a tuple is its own key, and tuples of
@@ -640,6 +714,61 @@ class TestCachingBackendBatch:
         cached.next_logprobs_batch([(0,)])
         assert counting.logprob_calls == n + 1
         assert len(cached._logprobs) == 2
+
+    def test_concurrent_batches_count_every_key(self, trained_params):
+        # threads share one cache, as the server's do: no lookup is lost
+        # from the counts, every row is right and the bound holds
+        toy = ToyBackend(trained_params)
+        cached = CachingBackend(ToyBackend(trained_params), capacity=24)
+        rng = named_rng(9, "concurrent-batches")
+        batches = [[tuple(map(int, rng.integers(0, 3, rng.integers(1, 4)))) for _ in range(12)]
+                   for _ in range(64)]
+        expected = {c: toy.next_logprobs(c) for batch in batches for c in batch}
+        failures = []
+
+        def worker(mine):
+            for batch in mine:
+                out = cached.next_logprobs_batch(batch)
+                if not all(np.array_equal(row, expected[c]) for row, c in zip(out, batch)):
+                    failures.append(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(batches[i::8],)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        assert cached.hits + cached.misses == sum(map(len, batches))
+        assert len(cached._logprobs) <= 24
+
+    def test_key_filled_meanwhile_moves_to_the_end(self, trained_params):
+        # another caller fills (2,) while this call's fill runs, outside the
+        # lock: the misses still end up most recently used, in order
+        toy = ToyBackend(trained_params)
+
+        class Meanwhile(Backend):
+            def info(self):
+                return toy.info()
+
+            def next_logprobs(self, context):
+                return toy.next_logprobs(context)
+
+            def next_logprobs_batch(self, contexts):
+                cached.next_logprobs((2,))
+                cached.next_logprobs((3,))
+                return toy.next_logprobs_batch(contexts)
+
+        cached = CachingBackend(Meanwhile())
+        out = cached.next_logprobs_batch([(2,), (1,)])
+        assert list(cached._logprobs) == [(3,), (2,), (1,)]
+        assert (cached.hits, cached.misses) == (0, 4)
+        assert np.array_equal(out, toy.next_logprobs_batch([(2,), (1,)]))
 
     def test_shares_entries_with_per_item_calls(self, trained_params):
         counting = CountingBackend(ToyBackend(trained_params))

@@ -384,6 +384,33 @@ class TestBoostedNextDistBatch:
             assert np.array_equal(row, boosted_next_dist(trained_backend, ctx, spec))
 
 
+class TestBatchResultIsItsOwn:
+    """The boosted batch is a fresh writable array that shares no memory
+    with the cache's rows, whether one group's mix is the result, a lone
+    weight-1 expert is copied, the rows are uniform or several groups are
+    gathered; the cache's own batch stays read-only."""
+
+    @pytest.mark.parametrize("spec, contexts", [
+        (BoostSpec.fixed_k(2, -0.5), [(1, 2, 3), (4, 5, 6), (1, 2, 3)]),  # one group
+        (BoostSpec(weights={MAX_CONTEXT: 1.0, 2: 0.0}), [(1, 2, 3), (4, 5)]),  # alpha = 0
+        (BoostSpec(weights={MAX_CONTEXT: 0.0, 3: 0.0}), [(1, 2, 3), (4,)]),  # all zero
+        (BoostSpec(weights={MAX_CONTEXT: 1.0, 3: -0.5}), [(1, 2), (5, 6, 7), (1, 2, 3, 4)]),
+    ], ids=["one-group", "alpha-0", "all-zero", "groups"])
+    def test_writable_and_unaliased(self, trained_backend, spec, contexts):
+        expected = np.stack([boosted_next_dist(trained_backend, c, spec) for c in contexts])
+        cached = CachingBackend(trained_backend)
+        for _ in range(2):  # filled by misses, then served from hits
+            out = boosted_next_dist_batch(cached, contexts, spec)
+            assert np.array_equal(out, expected)
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, row) for row in cached._logprobs.values())
+            out[:] = 0.0
+        rows = cached.next_logprobs_batch(contexts)
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, trained_backend.next_logprobs_batch(contexts))
+        assert np.array_equal(boosted_next_dist_batch(cached, contexts, spec), expected)
+
+
 class TestTupleContextsPassThrough:
     """A tuple context is used as it is, not copied to Python ints: a tuple
     of numpy ints, a list and an array of the same ids give the same rows,

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from cboost.backend import CachingBackend
 from cboost.boosting import MAX_CONTEXT, BoostSpec, MCScore, boosted_next_dist, score_choice
 from cboost.decode import GenConfig, generate
 from cboost.dist import logsumexp
@@ -35,7 +36,7 @@ from cboost.toy_lm import (
     train_uniform_scalarization,
 )
 
-from conftest import TableBackend
+from conftest import CountingBackend, TableBackend
 from test_boosting import flip_params_and_tokenizer
 
 
@@ -240,6 +241,24 @@ class TestEvaluateCell:
         items = copy_task.items[:20]
         acc = evaluate_cell(trained_backend, items, 5, -0.5, "accuracy")
         assert acc == eval_last_token(trained_backend, items, 5, -0.5).accuracy
+
+    @pytest.mark.parametrize("k, alpha, lookups", [
+        (4, -0.5, 2), (1, -1.0, 2), (11, 0.1, 2),  # a boosted cell: both experts
+        (12, -0.5, 1),  # k covers the context: one collapsed expert
+        (4, 0.0, 1),  # alpha = 0: the base model
+    ])
+    def test_warm_cell_hit_counts(self, trained_params, copy_task, k, alpha, lookups):
+        # a sweep's cells after the first read every row from the cache:
+        # the counts behind its backend.cache.hit_ratio
+        items = copy_task.items[:300]
+        counting = CountingBackend(ToyBackend(trained_params))
+        cached = CachingBackend(counting)
+        evaluate_cell(cached, items, k, -0.5)
+        evaluate_cell(cached, items, 12, 0.0)
+        calls, hits, misses = counting.logprob_calls, cached.hits, cached.misses
+        evaluate_cell(cached, items, k, alpha)
+        assert (counting.logprob_calls, cached.misses) == (calls, misses)
+        assert cached.hits - hits == lookups * len(items)
 
     def test_nll_finite_and_ordered(self, trained_backend, copy_task):
         items = copy_task.items[:20]
