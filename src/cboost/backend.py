@@ -195,7 +195,18 @@ class CachingBackend(Backend):
     from the inner score_batch.  The cache is internally synchronized:
     ``cboost serve`` answers each request on its own thread, and all of
     them share one instance.  Cached vectors are returned read-only, and
-    must be identical to uncached results to the last bit.
+    must be identical to uncached results to the last bit.  Every stored
+    vector is the cache's own C-contiguous float64 copy, so an inner
+    backend may reuse its output buffer.
+
+    The cache keeps the keys and the matrix of its last
+    next_logprobs_batch when that call was all hits.  The next batch with
+    equal keys gets the same matrix back, counted as hits, with no store
+    change, if no other access reached the stores in between: moving
+    the same keys to the most recently used end again, in the same order,
+    would leave the order as it is.  ``_accesses`` counts the lock
+    sections of ``_cached``, which tells a batch that nothing came
+    between its own lookup and the keeping.
     """
 
     def __init__(self, inner: Backend, capacity: int = DEFAULT_CACHE_CAPACITY):
@@ -207,6 +218,9 @@ class CachingBackend(Backend):
         self._logprobs: OrderedDict[Tokens, np.ndarray] = OrderedDict()
         self._scores: OrderedDict[tuple[Tokens, Tokens], float] = OrderedDict()
         self._lock = threading.Lock()
+        self._accesses = 0
+        # (_accesses right after it, keys, matrix) of the last all-hit batch
+        self._last_batch: tuple[int, list, np.ndarray] | None = None
         self.hits = 0
         self.misses = 0
 
@@ -218,10 +232,24 @@ class CachingBackend(Backend):
 
     def next_logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
         """The misses are filled by one inner batch call.  The result is
-        read-only."""
-        rows = self._cached(self._logprobs, _as_tuples(contexts), self._fill_batch)
+        read-only.  A batch that repeats the keys of the last one, when it
+        was all hits and no other access came since, gets the same matrix
+        back (see the class docstring); the matrix it held is dropped
+        before a new one is built."""
+        keys = _as_tuples(contexts)
+        with self._lock:
+            # no local name for the kept tuple: it would outlive the drop
+            if self._last_batch is not None and self._last_batch[:2] == (self._accesses, keys):
+                self.hits += len(keys)
+                return self._last_batch[2]
+            self._last_batch = None
+            after = self._accesses + 1  # the count once this call's lookup is done
+        rows = self._cached(self._logprobs, keys, self._fill_batch)
         out = np.array(rows) if rows else np.empty((0, self.info().vocab_size))
         out.setflags(write=False)
+        with self._lock:
+            if self._accesses == after:  # one all-hit lookup, and nothing else
+                self._last_batch = (after, keys, out)
         return out
 
     def score_batch(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[float]:
@@ -242,12 +270,15 @@ class CachingBackend(Backend):
         miss, then hits.  Every hit moves to the most recently used end in
         key order, and the misses follow in first-seen order.  The store
         then drops its least recently used entries down to ``capacity``.
+        Each lock section adds one to ``_accesses``: an all-hit call takes
+        one, a call with misses two.
 
         The lookups and moves map the store's own methods over the keys, so
         an all-hit call runs no Python code per key; no stored value is
         ever None, and values are told from None by identity, since
         ``==`` on an array does not give one bool."""
         with self._lock:
+            self._accesses += 1
             values = list(map(store.get, keys))
             found = list(map(is_not, values, repeat(None)))
             hit_keys = keys if all(found) else list(compress(keys, found))
@@ -263,6 +294,7 @@ class CachingBackend(Backend):
                 f"backend returned {len(fresh)} values for {len(missing)} cache misses"
             )
         with self._lock:
+            self._accesses += 1
             self.misses += len(missing)
             self.hits += len(keys) - len(hit_keys) - len(missing)  # repeated misses
             store.update(zip(missing, fresh))
@@ -274,7 +306,7 @@ class CachingBackend(Backend):
         return [value if ok else fresh[missing[key]] for key, value, ok in zip(keys, values, found)]
 
     def _fill_one(self, keys: list[Tokens]) -> list[np.ndarray]:
-        value = np.asarray(self.inner.next_logprobs(keys[0]), dtype=np.float64)
+        value = np.array(self.inner.next_logprobs(keys[0]), dtype=np.float64, order="C")
         value.setflags(write=False)
         return [value]
 

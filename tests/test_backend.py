@@ -2,6 +2,7 @@ import json
 import shutil
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -476,6 +477,28 @@ class TestCacheAgainstLRUModel:
                  ("next_logprobs_batch", [(np.int64(2), np.int64(0)), [1], (1,), (2, 0)]),
                  ("score_batch", [((1,), [2]), (np.array([1]), (2,))]),
                  ("again", None)])
+    # an all-hit batch, then three repeats of it that the kept matrix answers
+    @example(4, [("next_logprobs_batch", [(1,), [2, 0]]), ("again", None),
+                 ("again", None), ("again", None), ("again", None)])
+    # a single lookup of one of its keys, then a score batch, come between repeats
+    @example(4, [("next_logprobs_batch", [(1,), (2, 0)]), ("again", None),
+                 ("next_logprobs", [1]), ("again", None), ("again", None),
+                 ("score_batch", [((1,), (2,))]),
+                 ("next_logprobs_batch", [(1,), (2, 0)])])
+    # one of its keys is evicted before the repeat, which must miss and refill
+    @example(1, [("next_logprobs_batch", [(1,)]), ("again", None),
+                 ("next_logprobs", (2,)), ("next_logprobs_batch", [(1,)]), ("again", None)])
+    @example(2, [("next_logprobs_batch", [(1,), (2,)]), ("again", None),
+                 ("next_logprobs", (0,)), ("next_logprobs_batch", [(1,), (2,)])])
+    @example(3, [("next_logprobs_batch", [(0,), (1,), (2,)]), ("again", None),
+                 ("next_logprobs_batch", [(2, 0)]), ("next_logprobs_batch", [(0,), (1,), (2,)]),
+                 ("again", None)])
+    # repeated keys inside the batch
+    @example(4, [("next_logprobs_batch", [(1,), (1,), (2, 0), [1]]), ("again", None),
+                 ("again", None), ("again", None)])
+    # a call with misses keeps nothing: its misses went in after its hits
+    @example(4, [("next_logprobs", (1,)), ("next_logprobs_batch", [(2,), (1,)]),
+                 ("again", None), ("again", None)])
     def test_values_counts_and_inner_calls(self, trained_params, capacity, ops):
         plain = ToyBackend(trained_params)
         recording = RecordingBackend(ToyBackend(trained_params))
@@ -780,3 +803,123 @@ class TestCachingBackendBatch:
         row = cached.next_logprobs_batch([(6,)])[0]
         assert np.array_equal(cached.next_logprobs((6,)), row)
         assert counting.logprob_calls == 2
+
+
+class BufferBackend(Backend):
+    """Answers next_logprobs in one output buffer that every call rewrites,
+    returning the buffer itself or, with ``view``, a fresh view of it."""
+
+    def __init__(self, inner: Backend, view: bool):
+        self.inner = inner
+        self.view = view
+        self.buf = np.empty(inner.info().vocab_size)
+
+    def info(self):
+        return self.inner.info()
+
+    def next_logprobs(self, context):
+        self.buf[:] = self.inner.next_logprobs(context)
+        return self.buf[:] if self.view else self.buf
+
+
+class TestFillCopies:
+    @pytest.mark.parametrize("view", [False, True], ids=["buffer", "view"])
+    def test_inner_may_reuse_its_output_buffer(self, trained_params, view):
+        toy = ToyBackend(trained_params)
+        inner = BufferBackend(ToyBackend(trained_params), view)
+        cached = CachingBackend(inner)
+        first = cached.next_logprobs((0,)).copy()
+        second = cached.next_logprobs((1,))
+        assert np.array_equal(first, toy.next_logprobs((0,)))
+        assert np.array_equal(second, toy.next_logprobs((1,)))
+        assert np.array_equal(cached.next_logprobs((0,)), first)
+        assert cached.misses == 2
+        for row in cached._logprobs.values():
+            assert row.dtype == np.float64 and row.flags.c_contiguous
+            assert not row.flags.writeable
+            assert not np.shares_memory(row, inner.buf)
+
+
+class TestRepeatedBatch:
+    def test_repeat_returns_the_kept_matrix(self, trained_params):
+        counting = CountingBackend(ToyBackend(trained_params))
+        cached = CachingBackend(counting)
+        keys = [(1,), (2, 3), (1,)]
+        cached.next_logprobs_batch(keys)  # misses: nothing kept
+        first = cached.next_logprobs_batch(keys)  # all hits: kept
+        calls, hits = counting.logprob_calls, cached.hits
+        again = cached.next_logprobs_batch([(1,), [2, 3], np.array([1])])
+        assert again is first
+        assert (counting.logprob_calls, cached.hits) == (calls, hits + 3)
+        assert not again.flags.writeable
+        assert not any(np.shares_memory(again, row) for row in cached._logprobs.values())
+
+    def test_kept_matrix_dropped_before_the_next_is_built(self, trained_params):
+        toy = ToyBackend(trained_params)
+        alive_during_fill = []
+
+        class Probe(Backend):
+            def info(self):
+                return toy.info()
+
+            def next_logprobs(self, context):
+                return toy.next_logprobs(context)
+
+            def next_logprobs_batch(self, contexts):
+                alive_during_fill.append(ref is not None and ref() is not None)
+                return toy.next_logprobs_batch(contexts)
+
+        ref = None
+        cached = CachingBackend(Probe())
+        cached.next_logprobs_batch([(1,), (2,)])
+        first = cached.next_logprobs_batch([(1,), (2,)])
+        assert cached.next_logprobs_batch([(1,), (2,)]) is first
+        ref = weakref.ref(first)
+        del first
+        assert ref() is not None  # the cache holds it
+        cached.next_logprobs_batch([(3,)])  # a different batch, with a miss
+        assert alive_during_fill == [False, False]
+        assert ref() is None
+        kept = cached.next_logprobs_batch([(3,)])  # all hits: kept
+        ref = weakref.ref(kept)
+        del kept
+        cached.next_logprobs_batch([(1,)])  # a different all-hit batch
+        assert ref() is None
+
+    @pytest.mark.parametrize("capacity", [8, 64])
+    def test_threads_repeating_a_common_batch(self, trained_params, capacity):
+        # four threads, as the server's, each alternate one common batch
+        # (twice, so kept matrices get asked for) and a batch of its own
+        toy = ToyBackend(trained_params)
+        cached = CachingBackend(ToyBackend(trained_params), capacity=capacity)
+        common = [(7, t) for t in range(6)]
+        own = [[(w, t, u) for t in range(2) for u in range(3)] for w in range(4)]
+        expected = {tuple(b): toy.next_logprobs_batch(b).tobytes() for b in [common, *own]}
+        rounds = 40
+        if capacity == 64:  # above the 30 distinct keys: no eviction
+            cached.next_logprobs_batch(common)  # so no two threads miss one key together
+        asked = cached.hits + cached.misses
+        failures = []
+
+        def worker(mine):
+            for _ in range(rounds):
+                for batch in (common, common, mine, mine):
+                    if cached.next_logprobs_batch(batch).tobytes() != expected[tuple(batch)]:
+                        failures.append(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(b,)) for b in own]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        assert cached.hits + cached.misses == asked + rounds * 4 * 2 * (len(common) + 6)
+        assert len(cached._logprobs) <= capacity
+        if capacity == 64:
+            assert cached.misses == len(common) + sum(map(len, own))
